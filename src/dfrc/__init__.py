@@ -1,41 +1,18 @@
-"""Joint radar precoder covariance and IRS phase-shift design.
+"""Joint radar precoder and IRS phase-shift design.
 
 Alternates a projected-gradient solve of the transmit covariance with
 Riemannian gradient ascent of the unit-modulus IRS phase vector to
 maximize a weighted sum of radar and communication receiver SNRs.
 """
 
-from .channel import (ChannelSet, SystemGeometry, composite_comm_channel,
-                      composite_radar_channel, los_component,
-                      rayleigh_channel, rician_channel, synthesize_channels,
-                      ula_steering, upa_steering)
 from .config import ConfigError, RunConfig, parse_config
 from .driver import (ConvergenceTrace, ExperimentResult, alternate,
                      run_convergence_experiment, run_power_sweep)
-from .manifold import (AscentConfig, ZeroElementError, ascent_step,
-                       euclidean_gradient, finite_difference_gradient,
-                       project_tangent, retract)
-from .objective import (DesignWeights, ObjectiveBundle, build_C,
-                        build_bundle, comm_snr, eval_f1, radar_snr,
-                        weighted_objective)
-from .precoder import (BeampatternSpec, InfeasibleSpecError,
-                       NoConvergenceError, NotPSDError, PrecoderCovariance,
-                       matrix_sqrt, project_feasible, solve_covariance)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AscentConfig", "BeampatternSpec", "ChannelSet", "ConfigError",
-    "ConvergenceTrace", "DesignWeights", "ExperimentResult",
-    "InfeasibleSpecError", "NoConvergenceError", "NotPSDError",
-    "ObjectiveBundle", "PrecoderCovariance", "RunConfig", "SystemGeometry",
-    "ZeroElementError", "alternate", "ascent_step", "build_C",
-    "build_bundle", "comm_snr", "composite_comm_channel",
-    "composite_radar_channel", "eval_f1", "euclidean_gradient",
-    "finite_difference_gradient", "los_component", "matrix_sqrt",
-    "parse_config", "project_feasible", "project_tangent", "radar_snr",
-    "rayleigh_channel", "retract", "rician_channel",
-    "run_convergence_experiment", "run_power_sweep", "solve_covariance",
-    "synthesize_channels", "ula_steering", "upa_steering",
-    "weighted_objective",
+    "ConfigError", "ConvergenceTrace", "ExperimentResult", "RunConfig",
+    "__version__", "alternate", "parse_config", "run_convergence_experiment",
+    "run_power_sweep",
 ]

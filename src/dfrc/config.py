@@ -9,14 +9,14 @@ the reference simulation parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .channel import SystemGeometry
 from .objective import DesignWeights
-from .precoder import BeampatternSpec
+from .precoder import BeampatternSpec, trace_matches
 
 
 class ConfigError(ValueError):
@@ -293,13 +293,22 @@ def _to_run_config(values: dict[str, object],
 def make_beampattern(p0: float, m: int, gamma_bp: float,
                      r_d_path: str = "") -> BeampatternSpec:
     """Desired covariance: omnidirectional (p0/m)*I unless a .npy override
-    is given."""
+    is given, which must be m x m with trace p0."""
     if r_d_path:
-        r_d = np.load(r_d_path)
+        try:
+            r_d = np.load(r_d_path)
+        except (OSError, ValueError, EOFError) as exc:
+            raise BadValueError(f"r_d_path = {r_d_path!r}: {exc}") from exc
+        if not isinstance(r_d, np.ndarray):  # an .npz archive
+            raise BadValueError(f"r_d_path = {r_d_path!r}: not a .npy array")
         if r_d.shape != (m, m):
             raise BadValueError(f"r_d_path matrix must be {m}x{m}, "
                                 f"got {r_d.shape}")
         r_d = np.asarray(r_d, dtype=complex)
+        if not trace_matches(r_d, p0):
+            raise BadValueError(
+                f"r_d_path matrix has trace {np.trace(r_d).real:.6g}, "
+                f"but p0 is {p0:.6g}")
     else:
         r_d = (p0 / m) * np.eye(m, dtype=complex)
     return BeampatternSpec(r_d=r_d, gamma_bp=gamma_bp)
@@ -373,7 +382,3 @@ def format_config(cfg: RunConfig) -> str:
     }
     return "".join(f"{k} = {v}\n" for k, v in values.items())
 
-
-def with_updates(cfg: RunConfig, **kwargs) -> RunConfig:
-    """Convenience wrapper around dataclasses.replace."""
-    return replace(cfg, **kwargs)

@@ -9,9 +9,7 @@ iteration cap is hit.
 """
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,7 +18,7 @@ from numpy.typing import NDArray
 from .channel import (ChannelSet, SystemGeometry, composite_comm_channel,
                       composite_radar_channel, synthesize_channels,
                       upa_steering)
-from .config import RunConfig, make_beampattern
+from .config import BadValueError, RunConfig, make_beampattern
 from .manifold import AscentConfig, ascent_step, euclidean_gradient, \
     project_tangent
 from .objective import build_C, build_bundle, comm_snr, radar_snr, \
@@ -83,18 +81,9 @@ class ExperimentResult:
     curves: tuple[Curve, ...]
 
 
-def _num_threads() -> int:
-    env = os.environ.get("DFRC_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
-def make_channels(cfg: RunConfig, seed: int | None = None) -> ChannelSet:
+def make_channels(cfg: RunConfig) -> ChannelSet:
     return synthesize_channels(
-        cfg.geometry, cfg.num_users,
-        seed=cfg.seed if seed is None else seed,
+        cfg.geometry, cfg.num_users, seed=cfg.seed,
         rician_factor=cfg.k_g, eta=cfg.eta,
         g_scale=cfg.g_scale, f_scale=cfg.f_scale, h_scale=cfg.h_scale,
         radar_departure_angle=cfg.los_radar_angle,
@@ -110,15 +99,11 @@ def initial_theta(cfg: RunConfig) -> ComplexArray:
     return np.exp(1j * rng.uniform(0.0, 2 * np.pi, n))
 
 
-def alternate(cfg: RunConfig,
-              channels: ChannelSet | None = None) -> ConvergenceTrace:
+def alternate(cfg: RunConfig) -> ConvergenceTrace:
     """Run the full alternating algorithm and return its trace."""
-    if channels is None:
-        channels = make_channels(cfg)
+    channels = make_channels(cfg)
     a_irs = upa_steering(cfg.geometry)
-    ascent_cfg = AscentConfig(step=cfg.delta,
-                              max_inner_steps=cfg.inner_steps,
-                              backtracking=cfg.backtracking)
+    ascent_cfg = AscentConfig(step=cfg.delta, backtracking=cfg.backtracking)
     theta = initial_theta(cfg)
     r_w = None
     records: list[IterationRecord] = []
@@ -147,28 +132,18 @@ def alternate(cfg: RunConfig,
         f_prev = f_now
         if j == cfg.j_max:
             break
-        for _ in range(cfg.inner_steps):
+        # the first inner step reuses the gradient behind grad_norm
+        theta = ascent_step(theta, bundle, ascent_cfg, direction=rgrad)
+        for _ in range(cfg.inner_steps - 1):
             theta = ascent_step(theta, bundle, ascent_cfg)
     return ConvergenceTrace(records=tuple(records), flag=flag,
                             theta=theta, r_w=r_w)
 
 
-def _map_ordered(fn, items):
-    """Apply fn over items, in parallel when DFRC_THREADS > 1, preserving
-    input order so results stay deterministic."""
-    threads = _num_threads()
-    if threads == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _realization_traces(cfg: RunConfig,
                         num_realizations: int) -> list[ConvergenceTrace]:
-    def one(idx: int) -> ConvergenceTrace:
-        return alternate(replace(cfg, seed=cfg.seed + idx))
-
-    return _map_ordered(one, range(num_realizations))
+    return [alternate(replace(cfg, seed=cfg.seed + idx))
+            for idx in range(num_realizations)]
 
 
 def _aligned_stats(traces: list[ConvergenceTrace]) -> tuple[np.ndarray,
@@ -237,6 +212,10 @@ def run_power_sweep(cfg: RunConfig,
         raise ValueError("sweep lists must be nonempty")
     if num_realizations < 1:
         raise ValueError("num_realizations must be >= 1")
+    if cfg.raw.get("r_d_path"):
+        # each (M, P0) point needs its own R_d; one file cannot supply them
+        raise BadValueError("r_d_path is not supported by sweep, which "
+                            "uses the isotropic R_d = (p0/m) I")
     curves = []
     for m in m_list:
         for n in n_list:

@@ -28,14 +28,11 @@ class AscentConfig:
     objective stops decreasing (at most 20 halvings) when enabled."""
 
     step: float = 0.1
-    max_inner_steps: int = 1
     backtracking: bool = False
 
     def __post_init__(self) -> None:
         if self.step <= 0:
             raise ValueError("step must be positive")
-        if self.max_inner_steps < 1:
-            raise ValueError("max_inner_steps must be >= 1")
 
 
 def euclidean_gradient(theta: ComplexArray,
@@ -64,9 +61,15 @@ def retract(theta: ComplexArray, direction: ComplexArray,
 
 
 def ascent_step(theta: ComplexArray, bundle: ObjectiveBundle,
-                cfg: AscentConfig) -> ComplexArray:
-    """One gradient -> tangent projection -> retraction iteration."""
-    direction = project_tangent(euclidean_gradient(theta, bundle), theta)
+                cfg: AscentConfig,
+                direction: ComplexArray | None = None) -> ComplexArray:
+    """One gradient -> tangent projection -> retraction iteration.
+
+    `direction` is the Riemannian gradient at theta when the caller has
+    already computed it; it is computed here when omitted.
+    """
+    if direction is None:
+        direction = project_tangent(euclidean_gradient(theta, bundle), theta)
     if not cfg.backtracking:
         return retract(theta, direction, cfg.step)
     f_old = eval_f1(theta, bundle)

@@ -12,7 +12,7 @@ coefficient matrices remain available for verification.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -90,14 +90,10 @@ class ObjectiveBundle:
     v: ComplexArray          # length-N linear-term vector
     t0: float                # theta-independent offset
     radar_scale: float       # (1-alpha)|eta|^2 / sigma_r^2
-    _z_cache: list = field(default_factory=list, repr=False, compare=False)
 
     def z_matrices(self) -> ComplexArray:
         """Dense quartic coefficient stack Z[i, j] = R o (G w_j g_i^T)^T."""
-        if not self._z_cache:
-            z = np.einsum("pq,pi,qj->ijpq", self.R, self.G, self.GW)
-            self._z_cache.append(z)
-        return self._z_cache[0]
+        return np.einsum("pq,pi,qj->ijpq", self.R, self.G, self.GW)
 
 
 def build_bundle(channels: ChannelSet, a_irs: ComplexArray,

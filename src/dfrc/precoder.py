@@ -14,6 +14,12 @@ from numpy.typing import NDArray
 
 ComplexArray = NDArray[np.complexfloating]
 
+_MAX_DYKSTRA_CYCLES = 1000
+_MAX_PG_ITER = 5000
+_STEP_TOL = 1e-10        # relative to max(1, power)
+_PROJECTION_TOL = 1e-12  # relative to max(1, power)
+_TRACE_RTOL = 1e-6       # tr(R_d) vs power, relative to max(1, |power|)
+
 
 class InfeasibleSpecError(ValueError):
     """Desired covariance trace disagrees with the power budget."""
@@ -48,6 +54,12 @@ class PrecoderCovariance:
     r_w: ComplexArray
     w: ComplexArray
     objective: float
+
+
+def trace_matches(r_d: ComplexArray, power: float) -> bool:
+    """Whether tr(R_d) equals the power budget to the solver's tolerance."""
+    trace_rd = float(np.trace(r_d).real)
+    return abs(trace_rd - power) <= _TRACE_RTOL * max(1.0, abs(power))
 
 
 def hermitize(x: ComplexArray) -> ComplexArray:
@@ -98,15 +110,14 @@ def _feasibility_residuals(x: ComplexArray, power: float,
 
 
 def project_feasible(x: ComplexArray, power: float, spec: BeampatternSpec,
-                     tol: float = 1e-8,
-                     max_cycles: int = 1000) -> ComplexArray:
+                     tol: float = 1e-8) -> ComplexArray:
     """Dykstra projection onto {PSD} & {tr = power} & {Frobenius ball}."""
     x = hermitize(x)
     projections = (_project_psd,
                    lambda y: _project_trace(y, power),
                    lambda y: _project_ball(y, spec))
     increments = [np.zeros_like(x) for _ in projections]
-    for _ in range(max_cycles):
+    for _ in range(_MAX_DYKSTRA_CYCLES):
         for k, proj in enumerate(projections):
             y = proj(x + increments[k])
             increments[k] = x + increments[k] - y
@@ -114,39 +125,34 @@ def project_feasible(x: ComplexArray, power: float, spec: BeampatternSpec,
         if max(_feasibility_residuals(x, power, spec)) < tol:
             return x
     raise NoConvergenceError(
-        f"feasibility residual above {tol:.1e} after {max_cycles} cycles")
+        f"feasibility residual above {tol:.1e} after "
+        f"{_MAX_DYKSTRA_CYCLES} cycles")
 
 
 def solve_covariance(c: ComplexArray, power: float, spec: BeampatternSpec,
-                     r_init: ComplexArray | None = None,
-                     step: float | None = None,
-                     max_iter: int = 5000,
-                     step_tol: float = 1e-10,
-                     projection_tol: float | None = None) -> PrecoderCovariance:
+                     r_init: ComplexArray | None = None) -> PrecoderCovariance:
     """Maximize tr(R_w C) over the feasible covariance set.
 
     The objective is linear, so projected gradient ascent with any step is
-    monotone under exact projections; the default step power/||C||_F keeps
-    the trajectory invariant under joint (power, R_d, gamma_bp, R_init)
+    monotone under exact projections; the step power/||C||_F keeps the
+    trajectory invariant under joint (power, R_d, gamma_bp, R_init)
     rescaling, which preserves the degree-2 homogeneity of the SNRs.
     """
     if power <= 0:
         raise ValueError("power budget must be positive")
-    trace_rd = float(np.trace(spec.r_d).real)
-    if abs(trace_rd - power) > 1e-6 * max(1.0, abs(power)):
+    if not trace_matches(spec.r_d, power):
         raise InfeasibleSpecError(
-            f"tr(R_d) = {trace_rd:.6g} does not match the budget {power:.6g}")
+            f"tr(R_d) = {float(np.trace(spec.r_d).real):.6g} does not match "
+            f"the budget {power:.6g}")
     c = hermitize(c)
-    if projection_tol is None:
-        projection_tol = 1e-12 * max(1.0, power)
-    if step is None:
-        c_norm = float(np.linalg.norm(c, "fro"))
-        step = power / c_norm if c_norm > 0 else 1.0
+    c_norm = float(np.linalg.norm(c, "fro"))
+    step = power / c_norm if c_norm > 0 else 1.0
+    scale = max(1.0, power)
     r = spec.r_d.copy() if r_init is None else hermitize(r_init)
-    for _ in range(max_iter):
+    for _ in range(_MAX_PG_ITER):
         r_new = project_feasible(r + step * c, power, spec,
-                                 tol=projection_tol)
-        if np.linalg.norm(r_new - r, "fro") < step_tol * max(1.0, power):
+                                 tol=_PROJECTION_TOL * scale)
+        if np.linalg.norm(r_new - r, "fro") < _STEP_TOL * scale:
             r = r_new
             break
         r = r_new

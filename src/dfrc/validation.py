@@ -109,8 +109,7 @@ def sample_feasible(rng: np.random.Generator, spec: BeampatternSpec,
 
 
 def solver_checks(num_samples: int = 100_000,
-                  seed: int = 7,
-                  solver=solve_covariance) -> list[CheckResult]:
+                  seed: int = 7) -> list[CheckResult]:
     """Oracle checks for the covariance solver at M = 2."""
     rng = np.random.default_rng(seed)
     results = []
@@ -121,7 +120,7 @@ def solver_checks(num_samples: int = 100_000,
     c = np.diag([1.0, 0.0]).astype(complex)
     spec = BeampatternSpec(r_d=(power / 2) * np.eye(2, dtype=complex),
                            gamma_bp=2.5)
-    sol = solver(c, power, spec)
+    sol = solve_covariance(c, power, spec)
     bound = power * float(np.linalg.eigvalsh(c)[-1])
     results.append(CheckResult(
         name="eigenvalue_upper_bound_gap",
@@ -142,7 +141,7 @@ def solver_checks(num_samples: int = 100_000,
     c_rand = z @ z.conj().T
     spec_rand = BeampatternSpec(r_d=(power / 2) * np.eye(2, dtype=complex),
                                 gamma_bp=0.8)
-    sol_rand = solver(c_rand, power, spec_rand)
+    sol_rand = solve_covariance(c_rand, power, spec_rand)
     samples = sample_feasible(rng, spec_rand, power, num_samples)
     sampled_best = float(np.max(np.real(
         np.einsum("kij,ji->k", samples, c_rand))))

@@ -149,6 +149,36 @@ class TestCommands:
         assert run_cli("print-config",
                        "--config", str(tmp_path / "nope.cfg")) == 2
 
+    @pytest.mark.parametrize("name", ["nope.npy", "archive.npz"])
+    def test_unreadable_r_d_file_is_config_error(self, name, tmp_path,
+                                                  capsys):
+        path = tmp_path / name
+        if name.endswith(".npz"):
+            np.savez(path, r_d=np.eye(8))
+        assert run_cli("print-config", "--config", "table1",
+                       "--set", f"r_d_path={path}") == 2
+        assert "r_d_path" in capsys.readouterr().err
+
+    def test_r_d_trace_mismatch_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "r_d.npy"
+        np.save(path, 2.0 * np.eye(2))  # trace 4, but FAST sets p0=10
+        assert run_cli("converge", "--config", "table1", *FAST,
+                       "--set", f"r_d_path={path}",
+                       "--out", str(tmp_path / "run")) == 2
+        assert "r_d_path" in capsys.readouterr().err
+
+    def test_sweep_rejects_r_d_path(self, tmp_path, capsys):
+        path = tmp_path / "r_d.npy"
+        np.save(path, 5.0 * np.eye(2))  # trace matches FAST's p0=10
+        args = [*FAST, "--set", f"r_d_path={path}"]
+        assert run_cli("converge", "--config", "table1", *args,
+                       "--out", str(tmp_path / "run")) == 0
+        capsys.readouterr()
+        assert run_cli("sweep", "--config", "table1", *args,
+                       "--out", str(tmp_path / "sweep")) == 2
+        err = capsys.readouterr().err
+        assert "r_d_path" in err and "sweep" in err
+
 
 class TestValidateCommands:
     def test_validate_gradient_passes(self, capsys, monkeypatch):

@@ -80,6 +80,24 @@ class TestAlternate:
                                   r_init=first.r_w)
         assert second.objective >= first.objective - 1e-9 * abs(first.objective)
 
+    @pytest.mark.parametrize("inner_steps", [1, 2])
+    def test_one_gradient_per_ascent_step(self, inner_steps, monkeypatch):
+        from dfrc import driver, manifold
+        calls = []
+        original = manifold.euclidean_gradient
+
+        def counted(theta, bundle):
+            calls.append(1)
+            return original(theta, bundle)
+
+        monkeypatch.setattr(driver, "euclidean_gradient", counted)
+        monkeypatch.setattr(manifold, "euclidean_gradient", counted)
+        trace = alternate(small_cfg(j_max=10, inner_steps=inner_steps))
+        n_records = len(trace.records)
+        assert n_records > 1
+        # one per record for grad_norm; the first inner step reuses it
+        assert len(calls) == n_records + (inner_steps - 1) * (n_records - 1)
+
     def test_hit_cap_is_valid_result(self):
         trace = alternate(small_cfg(j_max=1))
         assert trace.flag == HIT_CAP

@@ -157,6 +157,17 @@ class TestAscentStep:
             f = f_new
 
 
+    @pytest.mark.parametrize("backtracking", [False, True])
+    def test_given_direction_matches_computed(self, backtracking):
+        rng = np.random.default_rng(19)
+        bundle, theta = random_bundle(rng, 3, 10)
+        cfg = AscentConfig(step=10.0, backtracking=backtracking)
+        rgrad = project_tangent(euclidean_gradient(theta, bundle), theta)
+        np.testing.assert_array_equal(
+            ascent_step(theta, bundle, cfg, direction=rgrad),
+            ascent_step(theta, bundle, cfg))
+
+
 class TestFiniteDifference:
     def test_analytic_quadratic(self):
         theta = unit_theta(np.random.default_rng(15), 5)
