@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 from .config import ConfigError, format_config, parse_config
-from .driver import ExperimentResult, run_convergence_experiment, \
+from .driver import HIT_CAP, ExperimentResult, run_convergence_experiment, \
     run_power_sweep
 from .validation import format_table, gradient_checks, solver_checks
 
@@ -130,6 +130,11 @@ def main(argv: list[str] | None = None) -> int:
                              cfg.seed, wall)
         for path in files:
             print(path)
+        runs = [t for curve in result.curves for t in curve.traces]
+        capped = sum(t.flag == HIT_CAP for t in runs)
+        if capped:
+            print(f"warning: {capped} of {len(runs)} runs stopped at "
+                  f"j_max={cfg.j_max} without converging", file=sys.stderr)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

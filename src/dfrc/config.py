@@ -65,9 +65,7 @@ _SCHEMA: dict[str, tuple[str, str | None]] = {
     "r_d_path": ("str", None),
     "epsilon": ("float", "epsilon_db"),
     "j_max": ("int", None),
-    "delta": ("float", None),
     "inner_steps": ("int", None),
-    "backtracking": ("bool", None),
     "seed": ("int", None),
     "theta_init": ("str", None),
     "num_realizations": ("int", None),
@@ -80,9 +78,10 @@ _SCHEMA: dict[str, tuple[str, str | None]] = {
 _DB_ALIASES = {alias: key for key, (_, alias) in _SCHEMA.items()
                if alias is not None}
 
-# Reference simulation preset: tolerance -30 dB, 500 iterations, step 0.1,
-# 5 users, 0 dB Rician factor, half-wavelength spacings, 10 dB beampattern
-# ball, 0 dB noise powers, 30 dBm budget, M=8 and an 8x8 IRS.
+# Reference simulation preset: tolerance -30 dB, 500 iterations, one MM
+# ascent step per iteration, 5 users, 0 dB Rician factor, half-wavelength
+# spacings, 10 dB beampattern ball, 0 dB noise powers, 30 dBm budget, M=8
+# and an 8x8 IRS.
 TABLE1_PRESET: dict[str, str] = {
     "m": "8",
     "n_x": "8",
@@ -108,9 +107,7 @@ TABLE1_PRESET: dict[str, str] = {
     "r_d_path": "",
     "epsilon_db": "-30",
     "j_max": "500",
-    "delta": "0.1",
     "inner_steps": "1",
-    "backtracking": "false",
     "seed": "0",
     "theta_init": "allones",
     "num_realizations": "20",
@@ -142,9 +139,7 @@ class RunConfig:
     p0: float
     epsilon: float
     j_max: int
-    delta: float
     inner_steps: int
-    backtracking: bool
     seed: int
     theta_init: str
     num_realizations: int
@@ -163,13 +158,6 @@ def _parse_scalar(key: str, text: str, kind: str, line: int):
             return float(text)
         if kind == "complex":
             return complex(text.replace(" ", ""))
-        if kind == "bool":
-            lowered = text.strip().lower()
-            if lowered in ("true", "1", "yes", "on"):
-                return True
-            if lowered in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(text)
         if kind == "floatlist":
             return tuple(float(tok) for tok in text.split(",") if tok.strip())
         if kind == "intlist":
@@ -236,7 +224,7 @@ def _validate(values: dict[str, object]) -> None:
 
     if not 0.0 <= values["alpha"] <= 1.0:
         bad("alpha", "must lie in [0, 1]")
-    for key in ("sigma_r_sq", "sigma_c_sq", "p0", "epsilon", "delta",
+    for key in ("sigma_r_sq", "sigma_c_sq", "p0", "epsilon",
                 "radar_spacing", "irs_spacing"):
         if values[key] <= 0:
             bad(key, "must be positive")
@@ -252,9 +240,8 @@ def _validate(values: dict[str, object]) -> None:
         bad("seed", "must be >= 0")
     if values["theta_init"] not in ("allones", "random"):
         bad("theta_init", "must be 'allones' or 'random'")
-    for key, alphas in (("alphas", values["alphas"]),):
-        if any(not 0.0 <= a <= 1.0 for a in alphas):
-            bad(key, "entries must lie in [0, 1]")
+    if any(not 0.0 <= a <= 1.0 for a in values["alphas"]):
+        bad("alphas", "entries must lie in [0, 1]")
 
 
 def _to_run_config(values: dict[str, object],
@@ -282,8 +269,7 @@ def _to_run_config(values: dict[str, object],
         los_irs_azimuth=values["los_irs_azimuth"],
         los_irs_elevation=values["los_irs_elevation"],
         p0=values["p0"], epsilon=values["epsilon"], j_max=values["j_max"],
-        delta=values["delta"], inner_steps=values["inner_steps"],
-        backtracking=values["backtracking"], seed=values["seed"],
+        inner_steps=values["inner_steps"], seed=values["seed"],
         theta_init=values["theta_init"],
         num_realizations=values["num_realizations"],
         alphas=values["alphas"], sweep_p0=values["sweep_p0"],
@@ -371,8 +357,7 @@ def format_config(cfg: RunConfig) -> str:
         "p0": repr(cfg.p0), "gamma_bp": repr(cfg.beampattern.gamma_bp),
         "r_d_path": cfg.raw.get("r_d_path", ""),
         "epsilon": repr(cfg.epsilon), "j_max": cfg.j_max,
-        "delta": repr(cfg.delta), "inner_steps": cfg.inner_steps,
-        "backtracking": str(cfg.backtracking).lower(),
+        "inner_steps": cfg.inner_steps,
         "seed": cfg.seed, "theta_init": cfg.theta_init,
         "num_realizations": cfg.num_realizations,
         "alphas": ",".join(repr(a) for a in cfg.alphas),

@@ -19,8 +19,7 @@ from .channel import (ChannelSet, SystemGeometry, composite_comm_channel,
                       composite_radar_channel, synthesize_channels,
                       upa_steering)
 from .config import BadValueError, RunConfig, make_beampattern
-from .manifold import AscentConfig, ascent_step, euclidean_gradient, \
-    project_tangent
+from .manifold import ascent_step, euclidean_gradient, project_tangent
 from .objective import build_C, build_bundle, comm_snr, radar_snr, \
     weighted_objective
 from .precoder import solve_covariance
@@ -103,9 +102,9 @@ def alternate(cfg: RunConfig) -> ConvergenceTrace:
     """Run the full alternating algorithm and return its trace."""
     channels = make_channels(cfg)
     a_irs = upa_steering(cfg.geometry)
-    ascent_cfg = AscentConfig(step=cfg.delta, backtracking=cfg.backtracking)
     theta = initial_theta(cfg)
     r_w = None
+    kappa = 1.0  # MM step weight, carried across steps and iterations
     records: list[IterationRecord] = []
     flag = HIT_CAP
     f_prev = None
@@ -120,7 +119,8 @@ def alternate(cfg: RunConfig) -> ConvergenceTrace:
         snr_c = comm_snr(f_c, w, cfg.weights.sigma_c_sq)
         f_now = weighted_objective(snr_r, snr_c, cfg.weights.alpha)
         bundle = build_bundle(channels, a_irs, w, cfg.weights)
-        rgrad = project_tangent(euclidean_gradient(theta, bundle), theta)
+        egrad = euclidean_gradient(theta, bundle)
+        rgrad = project_tangent(egrad, theta)
         records.append(IterationRecord(
             iteration=j, objective=f_now, radar_snr=snr_r, comm_snr=snr_c,
             grad_norm=float(np.linalg.norm(rgrad)),
@@ -133,9 +133,9 @@ def alternate(cfg: RunConfig) -> ConvergenceTrace:
         if j == cfg.j_max:
             break
         # the first inner step reuses the gradient behind grad_norm
-        theta = ascent_step(theta, bundle, ascent_cfg, direction=rgrad)
+        theta, kappa = ascent_step(theta, bundle, kappa, gradient=egrad)
         for _ in range(cfg.inner_steps - 1):
-            theta = ascent_step(theta, bundle, ascent_cfg)
+            theta, kappa = ascent_step(theta, bundle, kappa)
     return ConvergenceTrace(records=tuple(records), flag=flag,
                             theta=theta, r_w=r_w)
 

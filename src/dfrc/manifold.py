@@ -6,8 +6,6 @@ unit-modulus tangent projection applies unchanged.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.typing import NDArray
 
@@ -16,23 +14,15 @@ from .objective import ObjectiveBundle, _quartic_inner, eval_f1
 ComplexArray = NDArray[np.complexfloating]
 
 _ZERO_MAGNITUDE = 1e-14
+# Bounds on the MM step weight kappa: without the floor, halving it after
+# every accepted step underflows it to 0; without the cap, round-off
+# rejections at a stationary point overflow it to inf.
+_KAPPA_FLOOR = 2.0 ** -30
+_KAPPA_CAP = 2.0 ** 30
 
 
 class ZeroElementError(ValueError):
     """Retraction hit a (near-)zero element; the step is too large."""
-
-
-@dataclass(frozen=True)
-class AscentConfig:
-    """Fixed-step ascent parameters; backtracking halves the step until the
-    objective stops decreasing (at most 20 halvings) when enabled."""
-
-    step: float = 0.1
-    backtracking: bool = False
-
-    def __post_init__(self) -> None:
-        if self.step <= 0:
-            raise ValueError("step must be positive")
 
 
 def euclidean_gradient(theta: ComplexArray,
@@ -60,26 +50,36 @@ def retract(theta: ComplexArray, direction: ComplexArray,
     return moved / mag
 
 
-def ascent_step(theta: ComplexArray, bundle: ObjectiveBundle,
-                cfg: AscentConfig,
-                direction: ComplexArray | None = None) -> ComplexArray:
-    """One gradient -> tangent projection -> retraction iteration.
+def ascent_step(theta: ComplexArray, bundle: ObjectiveBundle, kappa: float,
+                gradient: ComplexArray | None = None
+                ) -> tuple[ComplexArray, float]:
+    """One adaptive-step ascent update of the majorization-minimization (MM)
+    form; returns the new theta and the kappa for the next step.
 
-    `direction` is the Riemannian gradient at theta when the caller has
-    already computed it; it is computed here when omitted.
+    x = exp(j arg(g + 2 lam theta)) = retract(theta, g, 1/(2 lam)) maximizes
+    f(theta) + Re{g^H (x - theta)} - lam ||x - theta||^2 over unit-modulus x,
+    for the Euclidean gradient g and lam = kappa ||g||/sqrt(N).  That
+    surrogate minorizes f only while lam bounds its curvature, which a small
+    kappa does not, so monotonicity comes from the acceptance test: the step
+    is kept only if eval_f1 does not fall.  A rejection doubles kappa and
+    retries, an acceptance halves it, and past the cap theta stays put.
+    `gradient` is computed if omitted.
     """
-    if direction is None:
-        direction = project_tangent(euclidean_gradient(theta, bundle), theta)
-    if not cfg.backtracking:
-        return retract(theta, direction, cfg.step)
+    if gradient is None:
+        gradient = euclidean_gradient(theta, bundle)
+    scale = float(np.linalg.norm(gradient)) / np.sqrt(theta.shape[0])
+    if scale == 0.0:
+        return theta, kappa
     f_old = eval_f1(theta, bundle)
-    step = cfg.step
-    for _ in range(21):
-        candidate = retract(theta, direction, step)
-        if eval_f1(candidate, bundle) >= f_old:
-            return candidate
-        step *= 0.5
-    return theta  # no improving step found; stay put
+    while kappa <= _KAPPA_CAP:
+        try:
+            candidate = retract(theta, gradient, 0.5 / (kappa * scale))
+            if eval_f1(candidate, bundle) >= f_old:
+                return candidate, max(0.5 * kappa, _KAPPA_FLOOR)
+        except ZeroElementError:
+            pass  # theta_i + t g_i hit zero: reject it like a falling step
+        kappa *= 2.0
+    return theta, _KAPPA_CAP
 
 
 def finite_difference_gradient(theta: ComplexArray, bundle: ObjectiveBundle,

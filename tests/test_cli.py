@@ -14,7 +14,7 @@ class TestParseConfig:
         cfg = parse_config("table1")
         assert cfg.epsilon == pytest.approx(1e-3)
         assert cfg.j_max == 500
-        assert cfg.delta == 0.1
+        assert cfg.inner_steps == 1
         assert cfg.num_users == 5
         assert cfg.k_g == pytest.approx(1.0)         # 0 dB
         assert cfg.geometry.radar_spacing == 0.5
@@ -140,6 +140,25 @@ class TestCommands:
         assert run_cli("sweep", "--config", "table1", *FAST,
                        "--out", str(out)) == 0
         assert len(list(out.glob("sweep_*.csv"))) == 1
+
+    @pytest.mark.parametrize("command", ["converge", "sweep"])
+    def test_warns_when_runs_hit_cap(self, command, tmp_path, capsys):
+        out = tmp_path / "capped"
+        assert run_cli(command, "--config", "table1", *FAST,
+                       "--set", "j_max=1", "--out", str(out)) == 0
+        err = capsys.readouterr().err
+        assert "warning: 2 of 2 runs stopped at j_max=1 without converging" \
+            in err
+        assert (out / "manifest.json").is_file()
+        assert run_cli(command, "--config", "table1", *FAST,
+                       "--set", "j_max=50", "--out", str(tmp_path / "ok")) == 0
+        assert "warning" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("item", ["delta=0.1", "backtracking=true"])
+    def test_removed_step_keys_are_unknown(self, item, tmp_path, capsys):
+        assert run_cli("converge", "--config", "table1", *FAST,
+                       "--set", item, "--out", str(tmp_path)) == 2
+        assert "unknown key" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path):
         assert run_cli("converge", "--config", "table1",

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from dfrc.manifold import (AscentConfig, ZeroElementError, ascent_step,
-                           euclidean_gradient, finite_difference_gradient,
-                           project_tangent, retract)
+from dfrc.manifold import (ZeroElementError, ascent_step, euclidean_gradient,
+                           finite_difference_gradient, project_tangent,
+                           retract)
 from dfrc.objective import ObjectiveBundle, eval_f1
 from dfrc.validation import random_bundle
 
@@ -22,6 +24,14 @@ def synthetic_bundle(n, d1=None, v=None):
 
 def unit_theta(rng, n):
     return np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+
+
+def concave_bundle(rng, n):
+    """f1 = -theta^H B B^H theta + 2 Re{theta^T v} for a random B, on which
+    the near-unregularized step (kappa tiny) overshoots and lowers f1."""
+    b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return synthetic_bundle(n, d1=-(b @ b.conj().T), v=v), unit_theta(rng, n)
 
 
 class TestEuclideanGradient:
@@ -113,59 +123,140 @@ class TestRetract:
 class TestAscentStep:
     def test_zero_bundle_is_stationary(self):
         theta = unit_theta(np.random.default_rng(10), 5)
-        out = ascent_step(theta, synthetic_bundle(5), AscentConfig(step=0.1))
+        out, _ = ascent_step(theta, synthetic_bundle(5), 1.0)
         np.testing.assert_allclose(out, theta)
 
     def test_radial_gradient_is_stationary(self):
         # gradient of theta^H theta is 2*theta -> projection zero
         theta = unit_theta(np.random.default_rng(11), 6)
         bundle = synthetic_bundle(6, d1=np.eye(6, dtype=complex))
-        out = ascent_step(theta, bundle, AscentConfig(step=0.1))
+        out, _ = ascent_step(theta, bundle, 1.0)
         np.testing.assert_allclose(out, theta, atol=1e-14)
 
     def test_small_step_increases_objective(self):
+        # a large kappa is a small step: accepted at once, since the
+        # first-order gain dominates
         rng = np.random.default_rng(12)
         for _ in range(10):
             bundle, theta = random_bundle(rng, 2, 8)
             before = eval_f1(theta, bundle)
-            after = eval_f1(ascent_step(theta, bundle,
-                                        AscentConfig(step=1e-3)), bundle)
-            assert after >= before - 1e-9
+            moved, kappa = ascent_step(theta, bundle, 1e3)
+            assert eval_f1(moved, bundle) >= before - 1e-9
+            assert kappa == 500.0
 
     def test_stationarity_at_small_gradient(self):
         # near a local max the Riemannian gradient vanishes; drive there
         rng = np.random.default_rng(13)
         bundle, theta = random_bundle(rng, 2, 6)
-        cfg = AscentConfig(step=0.01, backtracking=True)
+        kappa = 1.0
         for _ in range(3000):
-            theta = ascent_step(theta, bundle, cfg)
+            theta, kappa = ascent_step(theta, bundle, kappa)
+        # the step converges only linearly here, so a tangent residual of
+        # about 2e-7 of the gradient is left; the linear term 2 Re{theta^T v}
+        # adds 2 conj(v) to the gradient, so shifting v by it makes theta
+        # stationary by construction on a bundle that keeps its quartic part
+        grad = euclidean_gradient(theta, bundle)
+        residual = project_tangent(grad, theta)
+        assert np.linalg.norm(residual) < 1e-6 * np.linalg.norm(grad)
+        bundle = replace(bundle, v=bundle.v - residual.conj() / 2)
         rgrad = project_tangent(euclidean_gradient(theta, bundle), theta)
         scale = max(1.0, np.linalg.norm(euclidean_gradient(theta, bundle)))
-        if np.linalg.norm(rgrad) / scale < 1e-8:
-            moved = ascent_step(theta, bundle, AscentConfig(step=0.01))
-            assert np.max(np.abs(moved - theta)) < 1e-7
+        assert np.linalg.norm(rgrad) / scale < 1e-8
+        moved, _ = ascent_step(theta, bundle, kappa)
+        assert np.max(np.abs(moved - theta)) < 1e-7
 
     def test_backtracking_never_decreases(self):
+        # start from the smallest kappa, the largest step
         rng = np.random.default_rng(14)
         bundle, theta = random_bundle(rng, 3, 10)
-        cfg = AscentConfig(step=10.0, backtracking=True)
+        kappa = 2.0 ** -30
         f = eval_f1(theta, bundle)
         for _ in range(50):
-            theta = ascent_step(theta, bundle, cfg)
+            theta, kappa = ascent_step(theta, bundle, kappa)
             f_new = eval_f1(theta, bundle)
             assert f_new >= f - 1e-12 * max(1.0, abs(f))
             f = f_new
 
-
-    @pytest.mark.parametrize("backtracking", [False, True])
-    def test_given_direction_matches_computed(self, backtracking):
+    @pytest.mark.parametrize("rejected_first", [False, True])
+    def test_given_direction_matches_computed(self, rejected_first):
+        # rejected_first: the retries after a rejection reuse the gradient too
         rng = np.random.default_rng(19)
+        if rejected_first:
+            (bundle, theta), kappa = concave_bundle(rng, 8), 2.0 ** -40
+        else:
+            (bundle, theta), kappa = random_bundle(rng, 3, 10), 0.1
+        grad = euclidean_gradient(theta, bundle)
+        given, kappa_given = ascent_step(theta, bundle, kappa, gradient=grad)
+        computed, kappa_computed = ascent_step(theta, bundle, kappa)
+        np.testing.assert_array_equal(given, computed)
+        assert kappa_given == kappa_computed
+        assert (kappa_given > kappa) == rejected_first
+
+    def test_step_is_retraction_along_euclidean_gradient(self):
+        rng = np.random.default_rng(20)
         bundle, theta = random_bundle(rng, 3, 10)
-        cfg = AscentConfig(step=10.0, backtracking=backtracking)
-        rgrad = project_tangent(euclidean_gradient(theta, bundle), theta)
-        np.testing.assert_array_equal(
-            ascent_step(theta, bundle, cfg, direction=rgrad),
-            ascent_step(theta, bundle, cfg))
+        grad = euclidean_gradient(theta, bundle)
+        lam = 0.25 * np.linalg.norm(grad) / np.sqrt(10)
+        moved, kappa = ascent_step(theta, bundle, 0.25)
+        assert kappa == 0.125
+        np.testing.assert_allclose(
+            moved, np.exp(1j * np.angle(grad + 2 * lam * theta)), atol=1e-12)
+
+    def test_many_steps_stay_finite_and_monotone(self):
+        # kappa halves on every accepted step; without a floor it is 3e-151
+        # after 500 steps, and the step length 1/(2 lambda) overflows
+        rng = np.random.default_rng(103)
+        bundle, theta = random_bundle(rng, 3, 12)
+        kappa = 1.0
+        f = eval_f1(theta, bundle)
+        for _ in range(2000):
+            theta, kappa = ascent_step(theta, bundle, kappa)
+            assert np.all(np.isfinite(theta)) and kappa >= 2.0 ** -30
+            assert np.max(np.abs(np.abs(theta) - 1.0)) < 1e-10
+            f_new = eval_f1(theta, bundle)
+            assert f_new >= f - 1e-12 * abs(f)
+            f = f_new
+
+    def test_rejected_step_doubles_kappa(self):
+        bundle, theta = concave_bundle(np.random.default_rng(21), 8)
+        grad = euclidean_gradient(theta, bundle)
+        assert eval_f1(np.exp(1j * np.angle(grad)), bundle) \
+            < eval_f1(theta, bundle)
+        start = 2.0 ** -40
+        moved, kappa = ascent_step(theta, bundle, start)
+        assert eval_f1(moved, bundle) >= eval_f1(theta, bundle)
+        assert kappa > start
+
+    def test_kappa_is_capped_when_every_step_is_rejected(self, monkeypatch):
+        # at a stationary point round-off can reject every step; kappa must
+        # stay finite, or no later step could move again.  An objective that
+        # falls on every evaluation stands in for that round-off.
+        from dfrc import manifold
+        rng = np.random.default_rng(23)
+        bundle, theta = random_bundle(rng, 2, 6)
+        calls = []
+
+        def falling(x, b):
+            calls.append(1)
+            return -float(len(calls))
+
+        monkeypatch.setattr(manifold, "eval_f1", falling)
+        kappa = 1.0
+        for _ in range(20):
+            moved, kappa = ascent_step(theta, bundle, kappa)
+            np.testing.assert_array_equal(moved, theta)
+        assert kappa == 2.0 ** 30
+        monkeypatch.undo()
+        _, kappa = ascent_step(theta, bundle, kappa)
+        assert kappa == 2.0 ** 29
+
+    def test_zero_element_is_rejected_not_raised(self):
+        # f1 = -theta^H theta is constant on the circle; its gradient
+        # -2 theta sends theta_i + t g_i to exactly 0 at kappa = 0.5
+        theta = unit_theta(np.random.default_rng(22), 5)
+        bundle = synthetic_bundle(5, d1=-np.eye(5, dtype=complex))
+        moved, _ = ascent_step(theta, bundle, 0.5)
+        np.testing.assert_allclose(moved, theta, atol=1e-14)
 
 
 class TestFiniteDifference:
