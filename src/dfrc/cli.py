@@ -22,9 +22,12 @@ SCHEMA_VERSION = 1
 
 
 def _git_describe() -> str:
+    """Commit of the checkout this package was imported from, wherever the
+    process runs."""
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
-                             capture_output=True, text=True, timeout=10)
+                             capture_output=True, text=True, timeout=10,
+                             cwd=Path(__file__).resolve().parent)
         if out.returncode == 0:
             return out.stdout.strip()
     except OSError:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
-from .objective import ObjectiveBundle, _quartic_inner, eval_f1
+from .objective import ObjectiveBundle, eval_f1, phase_factors, squared_norm
 
 ComplexArray = NDArray[np.complexfloating]
 
@@ -27,11 +27,15 @@ class ZeroElementError(ValueError):
 
 def euclidean_gradient(theta: ComplexArray,
                        bundle: ObjectiveBundle) -> ComplexArray:
-    """Complex gradient of the polynomial objective at theta."""
-    h = _quartic_inner(theta, bundle)
-    b = bundle.R.conj() * (bundle.G.conj() @ h @ bundle.GW.conj().T)
-    quartic = 2.0 * bundle.radar_scale * ((b + b.T) @ theta.conj())
-    return quartic + 2.0 * (bundle.D1 @ theta) + 2.0 * bundle.v.conj()
+    """Complex gradient of the polynomial objective at theta:
+    2 radar_scale conj(a) o (|s|^2 conj(G) u + |u|^2 conj(GW) s)
+    + 2 ac diag(H^H (F W + E) GW^H)."""
+    u, s, e = phase_factors(theta, bundle)
+    radar = bundle.a.conj() * (squared_norm(s) * (bundle.G.conj() @ u)
+                               + squared_norm(u) * (bundle.GW.conj() @ s))
+    comm = np.sum((bundle.H.conj().T @ (bundle.FW + e)) * bundle.GW.conj(),
+                  axis=1)
+    return 2.0 * (bundle.radar_scale * radar + bundle.ac * comm)
 
 
 def project_tangent(g: ComplexArray, theta: ComplexArray) -> ComplexArray:

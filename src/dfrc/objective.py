@@ -1,14 +1,15 @@
-"""SNR objectives and the structured polynomial form in the IRS phases.
+"""SNR objectives and the factored polynomial form in the IRS phases.
 
 The weighted objective is quartic in the phase vector theta through the
-radar path and quadratic through the communication path.  Instead of the
-naive M^2 dense coefficient matrices, evaluation and differentiation use
-the factored identity
+radar path and quadratic through the communication path.  The radar has no
+line of sight to the target, so its path runs through the IRS and only the
+rank-one product a a^T of the IRS steering vector enters.  With
 
-    h = G^T Theta R Theta (G W)      (M x M)
+    x = a o theta,   u = G^T x,   s = (G W)^T x,   E = H diag(theta) G W
 
-whose squared Frobenius norm reproduces the quartic term; the dense
-coefficient matrices remain available for verification.
+the radar term is radar_scale * |u|^2 |s|^2 and the communication term is
+ac * |F W + E|_F^2 with ac = alpha / sigma_c^2 (E is K x M).  Evaluation
+and gradient cost O(N M (M + K)); no N x N matrix is formed.
 """
 from __future__ import annotations
 
@@ -75,30 +76,28 @@ def build_C(f_r: ComplexArray, f_c: ComplexArray,
 
 @dataclass(frozen=True)
 class ObjectiveBundle:
-    """Precomputed coefficients of the phase-vector polynomial objective.
+    """Factors of the phase-vector polynomial objective for a fixed W.
 
-    The quartic term is radar_scale * sum_ij |theta^T Z_ij theta|^2 with
-    Z_ij = R o (G w_j g_i^T)^T; it is evaluated through the cached factors
-    R, G and GW without materializing the Z stack.  `z_matrices` builds the
-    dense (M, M, N, N) stack on demand for cross-checks.
+    f1(theta) = radar_scale |u|^2 |s|^2 + ac (|E|^2 + 2 Re<F W, E>) with
+    u = G^T (a o theta), s = (G W)^T (a o theta) and E = H diag(theta) G W;
+    adding t0 = ac |F W|^2 gives the weighted SNR.  The cross term is kept
+    apart from t0 because subtracting a dominant t0 from ac |F W + E|^2
+    would lose the digits that the ascent step's acceptance test compares.
     """
 
-    R: ComplexArray          # a_irs a_irs^T, N x N
-    G: ComplexArray          # N x M
+    a: ComplexArray          # IRS steering vector toward the target, N
+    G: ComplexArray          # radar -> IRS, N x M
     GW: ComplexArray         # G @ W, N x M
-    D1: ComplexArray         # Hermitian N x N quadratic-term matrix
-    v: ComplexArray          # length-N linear-term vector
-    t0: float                # theta-independent offset
+    H: ComplexArray          # IRS -> users, K x N
+    FW: ComplexArray         # F @ W, K x M
+    t0: float                # theta-independent offset ac |F W|^2
     radar_scale: float       # (1-alpha)|eta|^2 / sigma_r^2
-
-    def z_matrices(self) -> ComplexArray:
-        """Dense quartic coefficient stack Z[i, j] = R o (G w_j g_i^T)^T."""
-        return np.einsum("pq,pi,qj->ijpq", self.R, self.G, self.GW)
+    ac: float                # alpha / sigma_c^2
 
 
 def build_bundle(channels: ChannelSet, a_irs: ComplexArray,
                  w: ComplexArray, weights: DesignWeights) -> ObjectiveBundle:
-    """Assemble the polynomial coefficients for a fixed precoder W."""
+    """Assemble the objective factors for a fixed precoder W."""
     g, f, h = channels.G, channels.F, channels.H
     n, m = g.shape
     if a_irs.shape != (n,):
@@ -106,30 +105,30 @@ def build_bundle(channels: ChannelSet, a_irs: ComplexArray,
     if w.shape[0] != m:
         raise ValueError("precoder row count must match radar antennas")
     ac = weights.alpha / weights.sigma_c_sq
-    r = np.outer(a_irs, a_irs)
-    gw = g @ w
-    gram = gw @ gw.conj().T  # G W W^H G^H
-    d1 = ac * (h.conj().T @ h) * gram.T
-    d1 = 0.5 * (d1 + d1.conj().T)
-    d2_diag = np.einsum("nm,mn->n", gw @ w.conj().T @ f.conj().T, h)
-    v = ac * d2_diag
-    t0 = ac * float(np.real(np.trace(w @ w.conj().T @ f.conj().T @ f)))
+    fw = f @ w
     radar_scale = (1.0 - weights.alpha) * abs(channels.eta) ** 2 \
         / weights.sigma_r_sq
-    return ObjectiveBundle(R=r, G=g, GW=gw, D1=d1, v=v, t0=t0,
-                           radar_scale=radar_scale)
+    return ObjectiveBundle(a=a_irs, G=g, GW=g @ w, H=h, FW=fw,
+                           t0=ac * squared_norm(fw),
+                           radar_scale=radar_scale, ac=ac)
 
 
-def _quartic_inner(theta: ComplexArray, bundle: ObjectiveBundle) -> ComplexArray:
-    """h = G^T Theta R Theta (G W), shared by value and gradient."""
-    gt_theta = bundle.G.T * theta  # G^T diag(theta)
-    return gt_theta @ bundle.R @ (theta[:, None] * bundle.GW)
+def squared_norm(z: ComplexArray) -> float:
+    """Squared Euclidean (Frobenius) norm."""
+    return float(np.real(np.vdot(z, z)))
+
+
+def phase_factors(theta: ComplexArray, bundle: ObjectiveBundle
+                  ) -> tuple[ComplexArray, ComplexArray, ComplexArray]:
+    """(u, s, E) at theta, shared by value and gradient."""
+    x = bundle.a * theta
+    return (bundle.G.T @ x, bundle.GW.T @ x,
+            (bundle.H * theta) @ bundle.GW)
 
 
 def eval_f1(theta: ComplexArray, bundle: ObjectiveBundle) -> float:
     """Polynomial objective (weighted SNR minus the constant offset t0)."""
-    h = _quartic_inner(theta, bundle)
-    t4 = bundle.radar_scale * float(np.sum(np.abs(h) ** 2))
-    t2 = float(np.real(theta.conj() @ bundle.D1 @ theta))
-    t1 = 2.0 * float(np.real(theta @ bundle.v))
-    return t4 + t2 + t1
+    u, s, e = phase_factors(theta, bundle)
+    comm = squared_norm(e) + 2.0 * float(np.real(np.vdot(bundle.FW, e)))
+    return bundle.radar_scale * squared_norm(u) * squared_norm(s) \
+        + bundle.ac * comm

@@ -1,0 +1,72 @@
+"""Dense reference form of the phase objective, for cross-checks only.
+
+Expands f1(theta) into a quartic, a quadratic and a linear part with
+explicit N x N coefficients:
+
+    f1 = radar_scale sum_ij |theta^T Z_ij theta|^2 + theta^H D1 theta
+         + 2 Re{theta^T v}
+
+with R = a a^T and Z_ij = R o (G w_j g_i^T)^T.  The factored form in
+dfrc.objective must agree with it; this module is what it is checked
+against, and the tests that read D1, v or the Z stack run on it.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from dfrc.channel import ChannelSet
+from dfrc.objective import DesignWeights
+
+
+@dataclass(frozen=True)
+class DenseBundle:
+    R: np.ndarray            # a_irs a_irs^T, N x N
+    G: np.ndarray            # N x M
+    GW: np.ndarray           # G @ W, N x M
+    D1: np.ndarray           # Hermitian N x N quadratic-term matrix
+    v: np.ndarray            # length-N linear-term vector
+    t0: float                # theta-independent offset
+    radar_scale: float       # (1-alpha)|eta|^2 / sigma_r^2
+
+
+def build_dense_bundle(channels: ChannelSet, a_irs: np.ndarray,
+                       w: np.ndarray, weights: DesignWeights) -> DenseBundle:
+    g, f, h = channels.G, channels.F, channels.H
+    ac = weights.alpha / weights.sigma_c_sq
+    gw = g @ w
+    gram = gw @ gw.conj().T  # G W W^H G^H
+    d1 = ac * (h.conj().T @ h) * gram.T
+    d1 = 0.5 * (d1 + d1.conj().T)
+    v = ac * np.einsum("nm,mn->n", gw @ w.conj().T @ f.conj().T, h)
+    t0 = ac * float(np.real(np.trace(w @ w.conj().T @ f.conj().T @ f)))
+    radar_scale = (1.0 - weights.alpha) * abs(channels.eta) ** 2 \
+        / weights.sigma_r_sq
+    return DenseBundle(R=np.outer(a_irs, a_irs), G=g, GW=gw, D1=d1, v=v,
+                       t0=t0, radar_scale=radar_scale)
+
+
+def z_matrices(bundle: DenseBundle) -> np.ndarray:
+    """Quartic coefficient stack Z[i, j] = R o (G w_j g_i^T)^T."""
+    return np.einsum("pq,pi,qj->ijpq", bundle.R, bundle.G, bundle.GW)
+
+
+def _quartic_inner(theta: np.ndarray, bundle: DenseBundle) -> np.ndarray:
+    """h = G^T Theta R Theta (G W), with h_ij = theta^T Z_ij theta."""
+    return (bundle.G.T * theta) @ bundle.R @ (theta[:, None] * bundle.GW)
+
+
+def eval_f1(theta: np.ndarray, bundle: DenseBundle) -> float:
+    h = _quartic_inner(theta, bundle)
+    t4 = bundle.radar_scale * float(np.sum(np.abs(h) ** 2))
+    t2 = float(np.real(theta.conj() @ bundle.D1 @ theta))
+    t1 = 2.0 * float(np.real(theta @ bundle.v))
+    return t4 + t2 + t1
+
+
+def euclidean_gradient(theta: np.ndarray, bundle: DenseBundle) -> np.ndarray:
+    h = _quartic_inner(theta, bundle)
+    b = bundle.R.conj() * (bundle.G.conj() @ h @ bundle.GW.conj().T)
+    quartic = 2.0 * bundle.radar_scale * ((b + b.T) @ theta.conj())
+    return quartic + 2.0 * (bundle.D1 @ theta) + 2.0 * bundle.v.conj()

@@ -1,4 +1,6 @@
 import json
+import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +136,36 @@ class TestCommands:
         for p1 in sorted(out1.glob("*.csv")):
             p2 = out2 / p1.name
             assert p1.read_bytes() == p2.read_bytes()
+
+    def test_sweep_csv_determinism(self, tmp_path):
+        args = [*FAST, "--set", "sweep_p0=10,40", "--set", "sweep_n=4,9"]
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        for out in (out1, out2):
+            assert run_cli("sweep", "--config", "table1", *args,
+                           "--out", str(out)) == 0
+        csvs = sorted(p.name for p in out1.glob("*.csv"))
+        assert csvs == sorted(p.name for p in out2.glob("*.csv"))
+        assert len(csvs) == 2
+        for name in csvs:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_manifest_names_the_package_checkout(self, tmp_path,
+                                                 monkeypatch):
+        package_dir = Path(cli.__file__).resolve().parent
+        try:
+            expected = subprocess.run(
+                ["git", "describe", "--always", "--dirty"],
+                capture_output=True, text=True, timeout=10, cwd=package_dir)
+        except OSError:
+            pytest.skip("git is not installed")
+        if expected.returncode != 0:
+            pytest.skip("the source tree is not a git checkout")
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("converge", "--config", "table1", *FAST,
+                       "--out", "run") == 0
+        manifest = json.loads((tmp_path / "run" / "manifest.json")
+                              .read_text())
+        assert manifest["git_describe"] == expected.stdout.strip()
 
     def test_sweep_outputs(self, tmp_path):
         out = tmp_path / "sweep"

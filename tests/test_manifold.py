@@ -10,16 +10,16 @@ from dfrc.objective import ObjectiveBundle, eval_f1
 from dfrc.validation import random_bundle
 
 
-def synthetic_bundle(n, d1=None, v=None):
-    """Bundle with hand-picked quadratic/linear coefficients and no
-    quartic part, for analytic gradient cases."""
+def comm_bundle(n, ac=0.0, h=None, fw=None):
+    """Bundle with no radar part and GW = 1, for analytic gradient cases:
+    f1 = ac (|H theta|^2 + 2 Re{FW^H H theta}).  The default H = I and
+    FW = 0 give f1 = ac theta^H theta (D1 = ac I, v = 0 in dense form)."""
+    h = np.eye(n, dtype=complex) if h is None else h
+    fw = np.zeros((h.shape[0], 1), dtype=complex) if fw is None else fw
     return ObjectiveBundle(
-        R=np.zeros((n, n), dtype=complex),
-        G=np.zeros((n, 1), dtype=complex),
-        GW=np.zeros((n, 1), dtype=complex),
-        D1=np.zeros((n, n), dtype=complex) if d1 is None else d1,
-        v=np.zeros(n, dtype=complex) if v is None else v,
-        t0=0.0, radar_scale=0.0)
+        a=np.ones(n, dtype=complex), G=np.zeros((n, 1), dtype=complex),
+        GW=np.ones((n, 1), dtype=complex), H=h, FW=fw, t0=0.0,
+        radar_scale=0.0, ac=ac)
 
 
 def unit_theta(rng, n):
@@ -28,21 +28,24 @@ def unit_theta(rng, n):
 
 def concave_bundle(rng, n):
     """f1 = -theta^H B B^H theta + 2 Re{theta^T v} for a random B, on which
-    the near-unregularized step (kappa tiny) overshoots and lowers f1."""
+    the near-unregularized step (kappa tiny) overshoots and lowers f1.
+    H = B^H with ac = -1 gives the quadratic part, and FW = -B^-1 conj(v)
+    the linear one."""
     b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return synthetic_bundle(n, d1=-(b @ b.conj().T), v=v), unit_theta(rng, n)
+    fw = -np.linalg.solve(b, v.conj())[:, None]
+    return comm_bundle(n, ac=-1.0, h=b.conj().T, fw=fw), unit_theta(rng, n)
 
 
 class TestEuclideanGradient:
     def test_zero_bundle(self):
         theta = unit_theta(np.random.default_rng(0), 5)
-        g = euclidean_gradient(theta, synthetic_bundle(5))
+        g = euclidean_gradient(theta, comm_bundle(5))
         np.testing.assert_allclose(g, np.zeros(5), atol=1e-15)
 
     def test_quadratic_identity(self):
         theta = unit_theta(np.random.default_rng(1), 6)
-        bundle = synthetic_bundle(6, d1=np.eye(6, dtype=complex))
+        bundle = comm_bundle(6, ac=1.0)
         np.testing.assert_allclose(euclidean_gradient(theta, bundle),
                                    2 * theta, atol=1e-14)
 
@@ -123,13 +126,13 @@ class TestRetract:
 class TestAscentStep:
     def test_zero_bundle_is_stationary(self):
         theta = unit_theta(np.random.default_rng(10), 5)
-        out, _ = ascent_step(theta, synthetic_bundle(5), 1.0)
+        out, _ = ascent_step(theta, comm_bundle(5), 1.0)
         np.testing.assert_allclose(out, theta)
 
     def test_radial_gradient_is_stationary(self):
         # gradient of theta^H theta is 2*theta -> projection zero
         theta = unit_theta(np.random.default_rng(11), 6)
-        bundle = synthetic_bundle(6, d1=np.eye(6, dtype=complex))
+        bundle = comm_bundle(6, ac=1.0)
         out, _ = ascent_step(theta, bundle, 1.0)
         np.testing.assert_allclose(out, theta, atol=1e-14)
 
@@ -152,13 +155,20 @@ class TestAscentStep:
         for _ in range(3000):
             theta, kappa = ascent_step(theta, bundle, kappa)
         # the step converges only linearly here, so a tangent residual of
-        # about 2e-7 of the gradient is left; the linear term 2 Re{theta^T v}
-        # adds 2 conj(v) to the gradient, so shifting v by it makes theta
-        # stationary by construction on a bundle that keeps its quartic part
+        # about 2e-7 of the gradient is left; the cross term 2 ac Re<FW, E>
+        # adds 2 ac diag(H^H FW GW^H) to the gradient, linear in FW and onto
+        # when K M >= N (here 3 * 2 = 6), so shifting FW to cancel the
+        # residual makes theta stationary by construction on a bundle that
+        # keeps its quartic part
         grad = euclidean_gradient(theta, bundle)
         residual = project_tangent(grad, theta)
         assert np.linalg.norm(residual) < 1e-6 * np.linalg.norm(grad)
-        bundle = replace(bundle, v=bundle.v - residual.conj() / 2)
+        k, m = bundle.FW.shape
+        basis = np.einsum("kn,nm->nkm", bundle.H.conj(),
+                          bundle.GW.conj()).reshape(-1, k * m)
+        shift = np.linalg.lstsq(2.0 * bundle.ac * basis, -residual,
+                                rcond=None)[0]
+        bundle = replace(bundle, FW=bundle.FW + shift.reshape(k, m))
         rgrad = project_tangent(euclidean_gradient(theta, bundle), theta)
         scale = max(1.0, np.linalg.norm(euclidean_gradient(theta, bundle)))
         assert np.linalg.norm(rgrad) / scale < 1e-8
@@ -254,7 +264,7 @@ class TestAscentStep:
         # f1 = -theta^H theta is constant on the circle; its gradient
         # -2 theta sends theta_i + t g_i to exactly 0 at kappa = 0.5
         theta = unit_theta(np.random.default_rng(22), 5)
-        bundle = synthetic_bundle(5, d1=-np.eye(5, dtype=complex))
+        bundle = comm_bundle(5, ac=-1.0)
         moved, _ = ascent_step(theta, bundle, 0.5)
         np.testing.assert_allclose(moved, theta, atol=1e-14)
 
@@ -262,7 +272,7 @@ class TestAscentStep:
 class TestFiniteDifference:
     def test_analytic_quadratic(self):
         theta = unit_theta(np.random.default_rng(15), 5)
-        bundle = synthetic_bundle(5, d1=np.eye(5, dtype=complex))
+        bundle = comm_bundle(5, ac=1.0)
         g = finite_difference_gradient(theta, bundle, 1e-5)
         np.testing.assert_allclose(g, 2 * theta, atol=1e-8)
 

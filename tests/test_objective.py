@@ -1,8 +1,12 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
+import dense_reference as ref
 from dfrc.channel import (ChannelSet, composite_comm_channel,
                           composite_radar_channel)
+from dfrc.manifold import euclidean_gradient
 from dfrc.objective import (DesignWeights, build_C, build_bundle, comm_snr,
                             eval_f1, radar_snr, weighted_objective)
 from dfrc.validation import random_instance
@@ -94,17 +98,17 @@ class TestBundle:
         ch = ChannelSet(G=np.array([[g]]), F=np.zeros((1, 1), dtype=complex),
                         H=np.zeros((1, 1), dtype=complex), eta=1.0,
                         num_users=1)
-        bundle = build_bundle(ch, np.ones(1, dtype=complex),
-                              np.array([[w]]),
-                              DesignWeights(0.5, 1.0, 1.0))
-        np.testing.assert_allclose(bundle.z_matrices(), [[[[g * g * w]]]])
+        bundle = ref.build_dense_bundle(ch, np.ones(1, dtype=complex),
+                                        np.array([[w]]),
+                                        DesignWeights(0.5, 1.0, 1.0))
+        np.testing.assert_allclose(ref.z_matrices(bundle), [[[[g * g * w]]]])
 
     def test_dense_z_matches_definition(self):
         rng = np.random.default_rng(5)
         ch, a, w, wt, _ = random_instance(rng, 3, 5, 2)
-        bundle = build_bundle(ch, a, w, wt)
+        bundle = ref.build_dense_bundle(ch, a, w, wt)
         r = np.outer(a, a)
-        z = bundle.z_matrices()
+        z = ref.z_matrices(bundle)
         for i in range(3):
             for j in range(3):
                 expect = r * np.outer(ch.G @ w[:, j], ch.G[:, i]).T
@@ -113,7 +117,7 @@ class TestBundle:
     def test_d1_hermitian(self):
         rng = np.random.default_rng(6)
         ch, a, w, wt, _ = random_instance(rng, 4, 8, 3)
-        bundle = build_bundle(ch, a, w, wt)
+        bundle = ref.build_dense_bundle(ch, a, w, wt)
         assert np.max(np.abs(bundle.D1 - bundle.D1.conj().T)) \
             < 1e-12 * np.max(np.abs(bundle.D1))
 
@@ -128,6 +132,39 @@ class TestBundle:
         for _ in range(20):
             ch, a, w, wt, _ = random_instance(rng, 3, 6, 2)
             assert build_bundle(ch, a, w, wt).t0 >= 0.0
+
+
+class TestFactoredForm:
+    def test_matches_dense_reference(self):
+        # 200 random shapes, then irs_large's (M=4, N=256, K=3)
+        rng = np.random.default_rng(24)
+        shapes = [(int(rng.integers(1, 13)), int(rng.integers(1, 65)),
+                   int(rng.integers(1, 6))) for _ in range(200)]
+        worst_f = worst_g = 0.0
+        for m, n, k in [*shapes, (4, 256, 3)]:
+            ch, a, w, wt, th = random_instance(rng, m, n, k)
+            bundle = build_bundle(ch, a, w, wt)
+            dense = ref.build_dense_bundle(ch, a, w, wt)
+            f_ref = ref.eval_f1(th, dense)
+            g_ref = ref.euclidean_gradient(th, dense)
+            worst_f = max(worst_f,
+                          abs(eval_f1(th, bundle) - f_ref) / abs(f_ref))
+            worst_g = max(worst_g, float(
+                np.linalg.norm(euclidean_gradient(th, bundle) - g_ref)
+                / np.linalg.norm(g_ref)))
+            assert bundle.t0 == pytest.approx(dense.t0, rel=1e-12)
+        assert worst_f <= 1e-12 and worst_g <= 1e-12
+
+    def test_no_n_by_n_field(self):
+        rng = np.random.default_rng(26)
+        n = 256
+        ch, a, w, wt, _ = random_instance(rng, 4, n, 3)
+        bundle = build_bundle(ch, a, w, wt)
+        arrays = {f.name: getattr(bundle, f.name) for f in fields(bundle)
+                  if isinstance(getattr(bundle, f.name), np.ndarray)}
+        assert set(arrays) == {"a", "G", "GW", "H", "FW"}
+        assert all(x.shape != (n, n) and x.size < n * n
+                   for x in arrays.values())
 
 
 def matrix_form_objective(ch, a, w, wt, theta):
@@ -149,11 +186,11 @@ class TestEvalF1:
         n = 6
         ch, a, w, wt, th = random_instance(rng, 2, n, 2)
         bundle = build_bundle(ch, a, w, wt)
-        patched = type(bundle)(R=bundle.R, G=bundle.G,
-                               GW=np.zeros_like(bundle.GW),
-                               D1=np.eye(n, dtype=complex),
-                               v=np.zeros(n, dtype=complex), t0=0.0,
-                               radar_scale=0.0)
+        # H = I, GW = 1 and FW = 0 give ac |E|^2 = ac theta^H theta
+        patched = replace(bundle, H=np.eye(n, dtype=complex),
+                          GW=np.ones((n, 1), dtype=complex),
+                          FW=np.zeros((n, 1), dtype=complex), t0=0.0,
+                          radar_scale=0.0, ac=1.0)
         assert eval_f1(th, patched) == pytest.approx(n, rel=1e-12)
 
     def test_full_pipeline_equivalence(self):
@@ -193,6 +230,6 @@ class TestEvalF1:
     def test_t2_real_from_hermitian_d1(self):
         rng = np.random.default_rng(14)
         ch, a, w, wt, th = random_instance(rng, 3, 7, 2)
-        bundle = build_bundle(ch, a, w, wt)
+        bundle = ref.build_dense_bundle(ch, a, w, wt)
         t2 = th.conj() @ bundle.D1 @ th
         assert abs(t2.imag) < 1e-10 * max(1.0, abs(t2.real))
