@@ -30,7 +30,7 @@ def _git_describe() -> str:
                              cwd=Path(__file__).resolve().parent)
         if out.returncode == 0:
             return out.stdout.strip()
-    except OSError:
+    except (OSError, subprocess.SubprocessError):  # no git, or it stalled
         pass
     return "unknown"
 

@@ -9,12 +9,12 @@ the reference simulation parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .channel import SystemGeometry
+from .channel import ComplexArray, SystemGeometry
 from .objective import DesignWeights
 from .precoder import BeampatternSpec, trace_matches
 
@@ -36,47 +36,97 @@ class BadValueError(ConfigError):
 
 
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:  # past the float range; only k_g accepts inf
+        return math.inf
 
 
-# canonical key -> (type tag, dB-suffixed alias or None)
-_SCHEMA: dict[str, tuple[str, str | None]] = {
-    "m": ("int", None),
-    "n_x": ("int", None),
-    "n_y": ("int", None),
-    "num_users": ("int", None),
-    "radar_spacing": ("float", None),
-    "irs_spacing": ("float", None),
-    "target_azimuth": ("float", None),
-    "target_elevation": ("float", None),
-    "los_radar_angle": ("float", None),
-    "los_irs_azimuth": ("float", None),
-    "los_irs_elevation": ("float", None),
-    "alpha": ("float", None),
-    "sigma_r_sq": ("float", "sigma_r_sq_db"),
-    "sigma_c_sq": ("float", "sigma_c_sq_db"),
-    "eta": ("complex", None),
-    "k_g": ("float", "k_g_db"),
-    "g_scale": ("float", None),
-    "f_scale": ("float", None),
-    "h_scale": ("float", None),
-    "p0": ("float", "p0_dbm"),
-    "gamma_bp": ("float", "gamma_bp_db"),
-    "r_d_path": ("str", None),
-    "epsilon": ("float", "epsilon_db"),
-    "j_max": ("int", None),
-    "inner_steps": ("int", None),
-    "seed": ("int", None),
-    "theta_init": ("str", None),
-    "num_realizations": ("int", None),
-    "alphas": ("floatlist", None),
-    "sweep_p0": ("floatlist", None),
-    "sweep_m": ("intlist", None),
-    "sweep_n": ("intlist", None),
+@dataclass(frozen=True)
+class RunConfig:
+    """Fully resolved parameters of one alternating-optimization run.
+
+    The fields up to ``sweep_n`` are the config keys in their linear
+    spelling, in ``print-config`` order; each annotation says how the key's
+    text is parsed.  ``r_d`` is not a key: it holds the matrix loaded from
+    ``r_d_path``, or None for the isotropic (p0/m)*I.
+    """
+
+    m: int
+    n_x: int
+    n_y: int
+    num_users: int
+    radar_spacing: float
+    irs_spacing: float
+    target_azimuth: float
+    target_elevation: float
+    los_radar_angle: float
+    los_irs_azimuth: float
+    los_irs_elevation: float
+    alpha: float
+    sigma_r_sq: float
+    sigma_c_sq: float
+    eta: complex
+    k_g: float
+    g_scale: float
+    f_scale: float
+    h_scale: float
+    p0: float
+    gamma_bp: float
+    r_d_path: str
+    epsilon: float
+    j_max: int
+    inner_steps: int
+    seed: int
+    theta_init: str
+    num_realizations: int
+    alphas: tuple[float, ...]
+    sweep_p0: tuple[float, ...]
+    sweep_m: tuple[int, ...]
+    sweep_n: tuple[int, ...]
+    r_d: ComplexArray | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def geometry(self) -> SystemGeometry:
+        return SystemGeometry(
+            num_radar_antennas=self.m, irs_rows=self.n_y, irs_cols=self.n_x,
+            radar_spacing=self.radar_spacing, irs_spacing=self.irs_spacing,
+            target_azimuth=self.target_azimuth,
+            target_elevation=self.target_elevation)
+
+    @property
+    def weights(self) -> DesignWeights:
+        return DesignWeights(alpha=self.alpha, sigma_r_sq=self.sigma_r_sq,
+                             sigma_c_sq=self.sigma_c_sq)
+
+    @property
+    def beampattern(self) -> BeampatternSpec:
+        r_d = self.r_d
+        if r_d is None:
+            r_d = (self.p0 / self.m) * np.eye(self.m, dtype=complex)
+        return BeampatternSpec(r_d=r_d, gamma_bp=self.gamma_bp)
+
+
+# config key -> its RunConfig annotation
+_KEYS = {f.name: f.type for f in fields(RunConfig) if f.name != "r_d"}
+
+# linear key -> the dB-suffixed spelling it also accepts
+_DB_ALIASES = {"sigma_r_sq": "sigma_r_sq_db", "sigma_c_sq": "sigma_c_sq_db",
+               "k_g": "k_g_db", "p0": "p0_dbm", "gamma_bp": "gamma_bp_db",
+               "epsilon": "epsilon_db"}
+
+
+def _parse_list(item):
+    return lambda text: tuple(item(tok) for tok in text.split(",")
+                              if tok.strip())
+
+
+_PARSERS = {
+    "int": int, "float": float, "str": str.strip,
+    "complex": lambda text: complex(text.replace(" ", "")),
+    "tuple[float, ...]": _parse_list(float),
+    "tuple[int, ...]": _parse_list(int),
 }
-
-_DB_ALIASES = {alias: key for key, (_, alias) in _SCHEMA.items()
-               if alias is not None}
 
 # Reference simulation preset: tolerance -30 dB, 500 iterations, one MM
 # ascent step per iteration, 5 users, 0 dB Rician factor, half-wavelength
@@ -120,49 +170,9 @@ TABLE1_PRESET: dict[str, str] = {
 PRESETS = {"table1": TABLE1_PRESET}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved parameters of one alternating-optimization run."""
-
-    geometry: SystemGeometry
-    weights: DesignWeights
-    beampattern: BeampatternSpec
-    num_users: int
-    eta: complex
-    k_g: float
-    g_scale: float
-    f_scale: float
-    h_scale: float
-    los_radar_angle: float
-    los_irs_azimuth: float
-    los_irs_elevation: float
-    p0: float
-    epsilon: float
-    j_max: int
-    inner_steps: int
-    seed: int
-    theta_init: str
-    num_realizations: int
-    alphas: tuple[float, ...]
-    sweep_p0: tuple[float, ...]
-    sweep_m: tuple[int, ...]
-    sweep_n: tuple[int, ...]
-    raw: dict[str, str] = field(default_factory=dict, compare=False)
-
-
 def _parse_scalar(key: str, text: str, kind: str, line: int):
     try:
-        if kind == "int":
-            return int(text)
-        if kind == "float":
-            return float(text)
-        if kind == "complex":
-            return complex(text.replace(" ", ""))
-        if kind == "floatlist":
-            return tuple(float(tok) for tok in text.split(",") if tok.strip())
-        if kind == "intlist":
-            return tuple(int(tok) for tok in text.split(",") if tok.strip())
-        return text.strip()
+        return _PARSERS[kind](text)
     except ValueError as exc:
         raise BadValueError(
             f"line {line}: cannot parse {key!r} = {text!r} as {kind}") from exc
@@ -186,15 +196,16 @@ def _read_pairs(path: str | Path) -> dict[str, tuple[str, int]]:
 def _resolve(pairs: dict[str, tuple[str, int]]) -> dict[str, object]:
     """Validate keys, apply dB precedence, and type every value."""
     for key in pairs:
-        if key not in _SCHEMA and key not in _DB_ALIASES:
+        if key not in _KEYS and key not in _DB_ALIASES.values():
             line = pairs[key][1]
             raise UnknownKeyError(f"line {line}: unknown key {key!r}")
     resolved: dict[str, object] = {}
-    for key, (kind, db_alias) in _SCHEMA.items():
+    for key, kind in _KEYS.items():
+        db_alias = _DB_ALIASES.get(key)
         has_linear = key in pairs
-        has_db = db_alias is not None and db_alias in pairs
+        has_db = db_alias in pairs
         if not has_linear and not has_db:
-            if key in ("r_d_path",):
+            if key == "r_d_path":
                 resolved[key] = ""
                 continue
             raise MissingKeyError(f"missing required key {key!r}"
@@ -222,6 +233,12 @@ def _validate(values: dict[str, object]) -> None:
     def bad(key: str, why: str):
         raise BadValueError(f"{key} = {values[key]!r}: {why}")
 
+    for key, value in values.items():
+        for item in value if isinstance(value, tuple) else (value,):
+            # k_g = inf is a pure line-of-sight radar->IRS link
+            if isinstance(item, (float, complex)) and not np.isfinite(item) \
+                    and not (key == "k_g" and item == math.inf):
+                bad(key, "must be finite")
     if not 0.0 <= values["alpha"] <= 1.0:
         bad("alpha", "must lie in [0, 1]")
     for key in ("sigma_r_sq", "sigma_c_sq", "p0", "epsilon",
@@ -244,60 +261,24 @@ def _validate(values: dict[str, object]) -> None:
         bad("alphas", "entries must lie in [0, 1]")
 
 
-def _to_run_config(values: dict[str, object],
-                   raw: dict[str, str]) -> RunConfig:
-    geometry = SystemGeometry(
-        num_radar_antennas=values["m"],
-        irs_rows=values["n_y"],
-        irs_cols=values["n_x"],
-        radar_spacing=values["radar_spacing"],
-        irs_spacing=values["irs_spacing"],
-        target_azimuth=values["target_azimuth"],
-        target_elevation=values["target_elevation"],
-    )
-    weights = DesignWeights(alpha=values["alpha"],
-                            sigma_r_sq=values["sigma_r_sq"],
-                            sigma_c_sq=values["sigma_c_sq"])
-    beampattern = make_beampattern(values["p0"], values["m"],
-                                   values["gamma_bp"], values["r_d_path"])
-    return RunConfig(
-        geometry=geometry, weights=weights, beampattern=beampattern,
-        num_users=values["num_users"], eta=values["eta"], k_g=values["k_g"],
-        g_scale=values["g_scale"], f_scale=values["f_scale"],
-        h_scale=values["h_scale"],
-        los_radar_angle=values["los_radar_angle"],
-        los_irs_azimuth=values["los_irs_azimuth"],
-        los_irs_elevation=values["los_irs_elevation"],
-        p0=values["p0"], epsilon=values["epsilon"], j_max=values["j_max"],
-        inner_steps=values["inner_steps"], seed=values["seed"],
-        theta_init=values["theta_init"],
-        num_realizations=values["num_realizations"],
-        alphas=values["alphas"], sweep_p0=values["sweep_p0"],
-        sweep_m=values["sweep_m"], sweep_n=values["sweep_n"], raw=raw)
-
-
-def make_beampattern(p0: float, m: int, gamma_bp: float,
-                     r_d_path: str = "") -> BeampatternSpec:
-    """Desired covariance: omnidirectional (p0/m)*I unless a .npy override
-    is given, which must be m x m with trace p0."""
-    if r_d_path:
-        try:
-            r_d = np.load(r_d_path)
-        except (OSError, ValueError, EOFError) as exc:
-            raise BadValueError(f"r_d_path = {r_d_path!r}: {exc}") from exc
-        if not isinstance(r_d, np.ndarray):  # an .npz archive
-            raise BadValueError(f"r_d_path = {r_d_path!r}: not a .npy array")
-        if r_d.shape != (m, m):
-            raise BadValueError(f"r_d_path matrix must be {m}x{m}, "
-                                f"got {r_d.shape}")
-        r_d = np.asarray(r_d, dtype=complex)
-        if not trace_matches(r_d, p0):
-            raise BadValueError(
-                f"r_d_path matrix has trace {np.trace(r_d).real:.6g}, "
-                f"but p0 is {p0:.6g}")
-    else:
-        r_d = (p0 / m) * np.eye(m, dtype=complex)
-    return BeampatternSpec(r_d=r_d, gamma_bp=gamma_bp)
+def load_r_d(path: str, p0: float, m: int) -> ComplexArray:
+    """Desired covariance from a .npy file, which must be m x m with
+    trace p0."""
+    try:
+        r_d = np.load(path)
+    except (OSError, ValueError, EOFError) as exc:
+        raise BadValueError(f"r_d_path = {path!r}: {exc}") from exc
+    if not isinstance(r_d, np.ndarray):  # an .npz archive
+        raise BadValueError(f"r_d_path = {path!r}: not a .npy array")
+    if r_d.shape != (m, m):
+        raise BadValueError(f"r_d_path matrix must be {m}x{m}, "
+                            f"got {r_d.shape}")
+    r_d = np.asarray(r_d, dtype=complex)
+    if not trace_matches(r_d, p0):
+        raise BadValueError(
+            f"r_d_path matrix has trace {np.trace(r_d).real:.6g}, "
+            f"but p0 is {p0:.6g}")
+    return r_d
 
 
 def parse_config(source: str | Path,
@@ -317,17 +298,23 @@ def parse_config(source: str | Path,
         key, value = item.split("=", 1)
         key = key.strip()
         # an override replaces both spellings so precedence stays sane
-        if key in _DB_ALIASES:
-            pairs.pop(_DB_ALIASES[key], None)
-        elif key in _SCHEMA:
-            alias = _SCHEMA[key][1]
-            if alias:
-                pairs.pop(alias, None)
+        linear = next((k for k, a in _DB_ALIASES.items() if a == key), key)
+        pairs.pop(linear, None)
+        pairs.pop(_DB_ALIASES.get(linear), None)
         pairs[key] = (value.strip(), -(i + 1))
     values = _resolve(pairs)
     _validate(values)
-    raw = {k: v for k, (v, _) in sorted(pairs.items())}
-    return _to_run_config(values, raw)
+    path = values["r_d_path"]
+    r_d = load_r_d(path, values["p0"], values["m"]) if path else None
+    return RunConfig(**values, r_d=r_d)
+
+
+def _format(value: object) -> str:
+    if isinstance(value, tuple):
+        return ",".join(_format(v) for v in value)
+    if isinstance(value, complex):
+        return str(value).strip("()")
+    return str(value)
 
 
 def format_config(cfg: RunConfig) -> str:
@@ -336,34 +323,4 @@ def format_config(cfg: RunConfig) -> str:
     Only linear-form keys are emitted, so a round trip through
     parse_config reproduces the same RunConfig.
     """
-    g = cfg.geometry
-    w = cfg.weights
-    values: dict[str, object] = {
-        "m": g.num_radar_antennas, "n_x": g.irs_cols, "n_y": g.irs_rows,
-        "num_users": cfg.num_users,
-        "radar_spacing": repr(g.radar_spacing),
-        "irs_spacing": repr(g.irs_spacing),
-        "target_azimuth": repr(g.target_azimuth),
-        "target_elevation": repr(g.target_elevation),
-        "los_radar_angle": repr(cfg.los_radar_angle),
-        "los_irs_azimuth": repr(cfg.los_irs_azimuth),
-        "los_irs_elevation": repr(cfg.los_irs_elevation),
-        "alpha": repr(w.alpha),
-        "sigma_r_sq": repr(w.sigma_r_sq), "sigma_c_sq": repr(w.sigma_c_sq),
-        "eta": str(cfg.eta).strip("()"),
-        "k_g": repr(cfg.k_g),
-        "g_scale": repr(cfg.g_scale), "f_scale": repr(cfg.f_scale),
-        "h_scale": repr(cfg.h_scale),
-        "p0": repr(cfg.p0), "gamma_bp": repr(cfg.beampattern.gamma_bp),
-        "r_d_path": cfg.raw.get("r_d_path", ""),
-        "epsilon": repr(cfg.epsilon), "j_max": cfg.j_max,
-        "inner_steps": cfg.inner_steps,
-        "seed": cfg.seed, "theta_init": cfg.theta_init,
-        "num_realizations": cfg.num_realizations,
-        "alphas": ",".join(repr(a) for a in cfg.alphas),
-        "sweep_p0": ",".join(repr(p) for p in cfg.sweep_p0),
-        "sweep_m": ",".join(str(m) for m in cfg.sweep_m),
-        "sweep_n": ",".join(str(n) for n in cfg.sweep_n),
-    }
-    return "".join(f"{k} = {v}\n" for k, v in values.items())
-
+    return "".join(f"{key} = {_format(getattr(cfg, key))}\n" for key in _KEYS)

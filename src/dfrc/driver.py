@@ -15,10 +15,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.typing import NDArray
 
-from .channel import (ChannelSet, SystemGeometry, composite_comm_channel,
+from .channel import (ChannelSet, composite_comm_channel,
                       composite_radar_channel, synthesize_channels,
                       upa_steering)
-from .config import BadValueError, RunConfig, make_beampattern
+from .config import BadValueError, RunConfig
 from .manifold import ascent_step, euclidean_gradient, project_tangent
 from .objective import build_C, build_bundle, comm_snr, radar_snr, \
     weighted_objective
@@ -91,7 +91,7 @@ def make_channels(cfg: RunConfig) -> ChannelSet:
 
 
 def initial_theta(cfg: RunConfig) -> ComplexArray:
-    n = cfg.geometry.num_irs_elements
+    n = cfg.n_x * cfg.n_y
     if cfg.theta_init == "allones":
         return np.ones(n, dtype=complex)
     rng = np.random.default_rng([cfg.seed, 0x7E7A])
@@ -102,6 +102,7 @@ def alternate(cfg: RunConfig) -> ConvergenceTrace:
     """Run the full alternating algorithm and return its trace."""
     channels = make_channels(cfg)
     a_irs = upa_steering(cfg.geometry)
+    weights, beampattern = cfg.weights, cfg.beampattern
     theta = initial_theta(cfg)
     r_w = None
     kappa = 1.0  # MM step weight, carried across steps and iterations
@@ -112,13 +113,13 @@ def alternate(cfg: RunConfig) -> ConvergenceTrace:
     for j in range(cfg.j_max + 1):
         f_r = composite_radar_channel(channels, theta, a_irs)
         f_c = composite_comm_channel(channels, theta)
-        c = build_C(f_r, f_c, cfg.weights)
-        solution = solve_covariance(c, cfg.p0, cfg.beampattern, r_init=r_w)
+        c = build_C(f_r, f_c, weights)
+        solution = solve_covariance(c, cfg.p0, beampattern, r_init=r_w)
         r_w, w = solution.r_w, solution.w
-        snr_r = radar_snr(f_r, w, cfg.weights.sigma_r_sq)
-        snr_c = comm_snr(f_c, w, cfg.weights.sigma_c_sq)
-        f_now = weighted_objective(snr_r, snr_c, cfg.weights.alpha)
-        bundle = build_bundle(channels, a_irs, w, cfg.weights)
+        snr_r = radar_snr(f_r, w, cfg.sigma_r_sq)
+        snr_c = comm_snr(f_c, w, cfg.sigma_c_sq)
+        f_now = weighted_objective(snr_r, snr_c, cfg.alpha)
+        bundle = build_bundle(channels, a_irs, w, weights)
         egrad = euclidean_gradient(theta, bundle)
         rgrad = project_tangent(egrad, theta)
         records.append(IterationRecord(
@@ -167,11 +168,11 @@ def run_convergence_experiment(cfg: RunConfig, num_realizations: int,
     if num_realizations < 1:
         raise ValueError("num_realizations must be >= 1")
     if alphas is None:
-        alphas = cfg.alphas or (cfg.weights.alpha,)
+        alphas = cfg.alphas or (cfg.alpha,)
     curves = []
     for alpha in alphas:
-        cfg_a = replace(cfg, weights=replace(cfg.weights, alpha=alpha))
-        traces = _realization_traces(cfg_a, num_realizations)
+        traces = _realization_traces(replace(cfg, alpha=alpha),
+                                     num_realizations)
         mean, std = _aligned_stats(traces)
         curves.append(Curve(label=f"alpha_{alpha:g}", param=alpha,
                             x=tuple(float(i) for i in range(len(mean))),
@@ -179,18 +180,6 @@ def run_convergence_experiment(cfg: RunConfig, num_realizations: int,
                             std=tuple(float(v) for v in std),
                             traces=tuple(traces)))
     return ExperimentResult(kind="converge", curves=tuple(curves))
-
-
-def _with_geometry(cfg: RunConfig, m: int, n: int, p0: float) -> RunConfig:
-    n_y, n_x = _factor_grid(n)
-    geometry = SystemGeometry(
-        num_radar_antennas=m, irs_rows=n_y, irs_cols=n_x,
-        radar_spacing=cfg.geometry.radar_spacing,
-        irs_spacing=cfg.geometry.irs_spacing,
-        target_azimuth=cfg.geometry.target_azimuth,
-        target_elevation=cfg.geometry.target_elevation)
-    beampattern = make_beampattern(p0, m, cfg.beampattern.gamma_bp)
-    return replace(cfg, geometry=geometry, beampattern=beampattern, p0=p0)
 
 
 def _factor_grid(n: int) -> tuple[int, int]:
@@ -212,7 +201,7 @@ def run_power_sweep(cfg: RunConfig,
         raise ValueError("sweep lists must be nonempty")
     if num_realizations < 1:
         raise ValueError("num_realizations must be >= 1")
-    if cfg.raw.get("r_d_path"):
+    if cfg.r_d_path:
         # each (M, P0) point needs its own R_d; one file cannot supply them
         raise BadValueError("r_d_path is not supported by sweep, which "
                             "uses the isotropic R_d = (p0/m) I")
@@ -220,8 +209,10 @@ def run_power_sweep(cfg: RunConfig,
     for m in m_list:
         for n in n_list:
             means, stds, all_traces = [], [], []
+            n_y, n_x = _factor_grid(n)
             for p0 in p0_list:
-                cfg_p = _with_geometry(cfg, m, n, p0)
+                # the isotropic R_d = (p0/m) I follows m and p0
+                cfg_p = replace(cfg, m=m, n_y=n_y, n_x=n_x, p0=p0)
                 traces = _realization_traces(cfg_p, num_realizations)
                 finals = np.array([t.final_objective for t in traces])
                 means.append(float(finals.mean()))

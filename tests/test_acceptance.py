@@ -13,7 +13,7 @@ import pytest
 from dfrc import cli
 from dfrc.channel import composite_comm_channel, composite_radar_channel, \
     upa_steering
-from dfrc.config import make_beampattern, parse_config
+from dfrc.config import parse_config
 from dfrc.driver import CONVERGED, alternate, make_channels, \
     run_convergence_experiment
 from dfrc.manifold import (ascent_step, euclidean_gradient,
@@ -179,12 +179,8 @@ def test_criterion_7_power_homogeneity():
     cfg = parse_config("table1")
     base = alternate(cfg)
     c = 4.0
-    scaled_cfg = replace(
-        cfg, p0=c * cfg.p0,
-        beampattern=make_beampattern(c * cfg.p0,
-                                     cfg.geometry.num_radar_antennas,
-                                     c * cfg.beampattern.gamma_bp))
-    scaled = alternate(scaled_cfg)
+    scaled = alternate(replace(cfg, p0=c * cfg.p0,
+                               gamma_bp=c * cfg.gamma_bp))
     ratio = scaled.final_objective / base.final_objective
     report("criterion 7 (power homogeneity)",
            abs(ratio - c) / c < 0.05,

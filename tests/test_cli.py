@@ -1,14 +1,21 @@
+import importlib.util
 import json
+import math
+import re
 import subprocess
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dfrc import cli
-from dfrc.config import (BadValueError, MissingKeyError, UnknownKeyError,
-                         format_config, parse_config)
+from dfrc import channel, cli, driver, manifold, precoder
+from dfrc.config import (TABLE1_PRESET, BadValueError, MissingKeyError,
+                         RunConfig, UnknownKeyError, format_config,
+                         parse_config)
 from dfrc.validation import CheckResult, format_table
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestParseConfig:
@@ -75,17 +82,49 @@ class TestParseConfig:
         parse_config(path)
 
     def test_round_trip(self, tmp_path):
-        cfg = parse_config("table1", ["alpha=0.3", "seed=17"])
+        # one override of each kind: int, float, complex, str and lists
+        cfg = parse_config("table1", [
+            "alpha=0.3", "seed=17", "eta=0.5-0.25j", "alphas=0.2,0.8",
+            "sweep_m=2,4", "theta_init=random"])
         path = tmp_path / "rt.cfg"
         path.write_text(format_config(cfg))
-        again = parse_config(path)
-        assert again.weights == cfg.weights
-        assert again.geometry == cfg.geometry
-        assert again.epsilon == cfg.epsilon
-        assert again.seed == cfg.seed
-        assert again.alphas == cfg.alphas
-        np.testing.assert_array_equal(again.beampattern.r_d,
-                                      cfg.beampattern.r_d)
+        assert parse_config(path) == cfg
+
+    def test_keys_are_the_run_config_fields(self):
+        printed = [line.split(" = ", 1)[0]
+                   for line in format_config(parse_config("table1"))
+                   .splitlines()]
+        # r_d holds the matrix read from r_d_path; it is not a key
+        names = [f.name for f in fields(RunConfig) if f.name != "r_d"]
+        preset = [re.sub(r"_dbm?$", "", key) for key in TABLE1_PRESET]
+        assert printed == names == preset
+        assert len(names) == 32
+
+    @pytest.mark.parametrize("item, key", [
+        ("epsilon=inf", "epsilon"), ("sigma_r_sq=inf", "sigma_r_sq"),
+        ("p0=nan", "p0"), ("gamma_bp=nan", "gamma_bp"),
+        ("sigma_c_sq=nan", "sigma_c_sq"), ("eta=nan", "eta"),
+        ("eta=1+infj", "eta"), ("g_scale=nan", "g_scale"),
+        ("target_azimuth=nan", "target_azimuth"),
+        ("radar_spacing=inf", "radar_spacing"),
+        ("los_radar_angle=inf", "los_radar_angle"), ("k_g=nan", "k_g"),
+        ("sweep_p0=1000,inf", "sweep_p0"), ("p0_dbm=4000", "p0"),
+        ("k_g=inf", None), ("k_g_db=4000", None)])
+    def test_non_finite_values(self, item, key, tmp_path, capsys):
+        # only k_g may be +inf (pure line of sight), also past the float
+        # range in dB; every other key must be finite, in linear or dB form
+        code = run_cli("converge", "--config", "table1",
+                       "--set", "num_realizations=1", "--set", "alphas=0.5",
+                       "--set", "j_max=5", "--set", item,
+                       "--out", str(tmp_path))
+        if key is None:
+            assert parse_config("table1", [item]).k_g == math.inf
+            assert code == 0
+            return
+        with pytest.raises(BadValueError, match=f"^{key} = .*finite"):
+            parse_config("table1", [item])
+        assert code == 2
+        assert f"config error: {key} = " in capsys.readouterr().err
 
 
 def run_cli(*argv):
@@ -105,8 +144,8 @@ class TestCommands:
         out = capsys.readouterr().out
         path = tmp_path / "printed.cfg"
         path.write_text(out)
-        assert parse_config(path).raw == parse_config("table1").raw \
-            or format_config(parse_config(path)) == out
+        assert parse_config(path) == parse_config("table1")
+        assert format_config(parse_config(path)) == out
 
     def test_converge_outputs(self, tmp_path):
         out = tmp_path / "run"
@@ -166,6 +205,16 @@ class TestCommands:
         manifest = json.loads((tmp_path / "run" / "manifest.json")
                               .read_text())
         assert manifest["git_describe"] == expected.stdout.strip()
+
+    def test_stalled_git_records_unknown(self, tmp_path, monkeypatch):
+        def stall(args, **kwargs):
+            raise subprocess.TimeoutExpired(args, kwargs.get("timeout"))
+
+        monkeypatch.setattr(subprocess, "run", stall)
+        assert run_cli("converge", "--config", "table1", *FAST,
+                       "--out", str(tmp_path)) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["git_describe"] == "unknown"
 
     def test_sweep_outputs(self, tmp_path):
         out = tmp_path / "sweep"
@@ -264,6 +313,35 @@ class TestValidateCommands:
         assert run_cli("validate-solver") == 0
         out = capsys.readouterr().out
         assert "sampled_oracle_gap" in out
+
+
+class TestBenchmarkContract:
+    def test_traced_run_reports_every_per_layer_metric(self, tmp_path):
+        # benchmarks/tracing.py wraps functions by the names their callers
+        # use and silently drops a metric whose name went away
+        spec = importlib.util.spec_from_file_location(
+            "bench_tracing", ROOT / "benchmarks" / "tracing.py")
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        tracer = tracing.Tracer({
+            "numpy.linalg": np.linalg, "channel": channel, "cli": cli,
+            "driver": driver, "manifold": manifold, "precoder": precoder})
+        tracer.install()
+        try:
+            code = cli.main(["converge", "--config", "table1", *FAST,
+                             "--out", str(tmp_path)])
+        finally:
+            tracer.restore()
+        assert code == 0
+        metrics = (tracing.layer_metrics(tracer)
+                   | tracing.rank_deficient_probe(tracer))
+        declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+        # benchmarks/run.py computes the bench.* metrics itself
+        names = {m["name"] for m in declared["per_layer"]
+                 if not m["name"].startswith("bench.")}
+        assert len(names) == 34
+        assert names - metrics.keys() == set()
+        assert all(math.isfinite(metrics[name]) for name in names)
 
 
 class TestEmitResults:

@@ -5,7 +5,7 @@ import pytest
 
 from dfrc.channel import ChannelSet, composite_comm_channel, \
     composite_radar_channel, upa_steering
-from dfrc.config import make_beampattern, parse_config
+from dfrc.config import parse_config
 from dfrc.driver import (CONVERGED, HIT_CAP, alternate, make_channels,
                          run_convergence_experiment, run_power_sweep)
 from dfrc.manifold import euclidean_gradient
@@ -187,10 +187,9 @@ class TestPowerSweep:
         f_c = composite_comm_channel(channels, theta)
         c = build_C(f_r, f_c, cfg.weights)
         base_obj = solve_covariance(c, cfg.p0, cfg.beampattern).objective
-        scaled_spec = make_beampattern(4 * cfg.p0,
-                                       cfg.geometry.num_radar_antennas,
-                                       4 * cfg.beampattern.gamma_bp)
-        scaled_obj = solve_covariance(c, 4 * cfg.p0, scaled_spec).objective
+        scaled = replace(cfg, p0=4 * cfg.p0, gamma_bp=4 * cfg.gamma_bp)
+        scaled_obj = solve_covariance(c, scaled.p0,
+                                      scaled.beampattern).objective
         assert scaled_obj / base_obj == pytest.approx(4.0, rel=0.05)
 
     def test_rejects_empty_sweep(self):
