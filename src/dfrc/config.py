@@ -259,6 +259,11 @@ def _validate(values: dict[str, object]) -> None:
         bad("theta_init", "must be 'allones' or 'random'")
     if any(not 0.0 <= a <= 1.0 for a in values["alphas"]):
         bad("alphas", "entries must lie in [0, 1]")
+    if any(p <= 0 for p in values["sweep_p0"]):
+        bad("sweep_p0", "entries must be positive")
+    for key in ("sweep_m", "sweep_n"):
+        if any(v < 1 for v in values[key]):
+            bad(key, "entries must be >= 1")
 
 
 def load_r_d(path: str, p0: float, m: int) -> ComplexArray:

@@ -104,7 +104,6 @@ def alternate(cfg: RunConfig) -> ConvergenceTrace:
     a_irs = upa_steering(cfg.geometry)
     weights, beampattern = cfg.weights, cfg.beampattern
     theta = initial_theta(cfg)
-    r_w = None
     kappa = 1.0  # MM step weight, carried across steps and iterations
     records: list[IterationRecord] = []
     flag = HIT_CAP
@@ -114,7 +113,7 @@ def alternate(cfg: RunConfig) -> ConvergenceTrace:
         f_r = composite_radar_channel(channels, theta, a_irs)
         f_c = composite_comm_channel(channels, theta)
         c = build_C(f_r, f_c, weights)
-        solution = solve_covariance(c, cfg.p0, beampattern, r_init=r_w)
+        solution = solve_covariance(c, cfg.p0, beampattern)
         r_w, w = solution.r_w, solution.w
         snr_r = radar_snr(f_r, w, cfg.sigma_r_sq)
         snr_c = comm_snr(f_c, w, cfg.sigma_c_sq)

@@ -2,8 +2,9 @@
 
 The sub-problem is linear in R_w = W W^H: maximize tr(R_w C) subject to
 R_w PSD, tr(R_w) = P0 and ||R_w - R_d||_F <= gamma_bp.  It is solved with
-projected gradient ascent; the projection onto the three-set intersection
-uses Dykstra's alternating-projection algorithm.
+projected gradient ascent from the closed-form optimum without the PSD
+constraint; the projection onto the three-set intersection uses Dykstra's
+alternating-projection algorithm.
 """
 from __future__ import annotations
 
@@ -129,14 +130,17 @@ def project_feasible(x: ComplexArray, power: float, spec: BeampatternSpec,
         f"{_MAX_DYKSTRA_CYCLES} cycles")
 
 
-def solve_covariance(c: ComplexArray, power: float, spec: BeampatternSpec,
-                     r_init: ComplexArray | None = None) -> PrecoderCovariance:
+def solve_covariance(c: ComplexArray, power: float,
+                     spec: BeampatternSpec) -> PrecoderCovariance:
     """Maximize tr(R_w C) over the feasible covariance set.
 
-    The objective is linear, so projected gradient ascent with any step is
-    monotone under exact projections; the step power/||C||_F keeps the
-    trajectory invariant under joint (power, R_d, gamma_bp, R_init)
-    rescaling, which preserves the degree-2 homogeneity of the SNRs.
+    Ascent starts at the optimum without the PSD constraint,
+    R_d + gamma_bp C0/||C0||_F with C0 the traceless part of C, which is
+    exact whenever it is PSD.  The objective is linear, so projected
+    gradient ascent with any step is monotone under exact projections; the
+    step power/||C||_F keeps the trajectory invariant under joint
+    (power, R_d, gamma_bp) rescaling, which preserves the degree-2
+    homogeneity of the SNRs.
     """
     if power <= 0:
         raise ValueError("power budget must be positive")
@@ -148,7 +152,11 @@ def solve_covariance(c: ComplexArray, power: float, spec: BeampatternSpec,
     c_norm = float(np.linalg.norm(c, "fro"))
     step = power / c_norm if c_norm > 0 else 1.0
     scale = max(1.0, power)
-    r = spec.r_d.copy() if r_init is None else hermitize(r_init)
+    m = c.shape[0]
+    c0 = c - (np.trace(c).real / m) * np.eye(m)
+    c0_norm = float(np.linalg.norm(c0, "fro"))
+    r = spec.r_d + (spec.gamma_bp / c0_norm) * c0 if c0_norm > 0 \
+        else spec.r_d.copy()
     for _ in range(_MAX_PG_ITER):
         r_new = project_feasible(r + step * c, power, spec,
                                  tol=_PROJECTION_TOL * scale)

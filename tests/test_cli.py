@@ -245,6 +245,19 @@ class TestCommands:
         assert run_cli("converge", "--config", "table1",
                        "--set", "alpha=2", "--out", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("item", [
+        "sweep_p0=1000,-5", "sweep_m=4,0", "sweep_n=16,0"])
+    def test_sweep_list_entries_checked_before_any_run(self, item, tmp_path,
+                                                       capsys, monkeypatch):
+        runs = []
+        monkeypatch.setattr(driver, "alternate",
+                            lambda cfg: runs.append(cfg))
+        assert run_cli("sweep", "--config", "table1", "--set", item,
+                       "--out", str(tmp_path)) == 2
+        key = item.split("=")[0]
+        assert f"config error: {key} = " in capsys.readouterr().err
+        assert runs == []
+
     def test_missing_config_file_exit_code(self, tmp_path):
         assert run_cli("print-config",
                        "--config", str(tmp_path / "nope.cfg")) == 2

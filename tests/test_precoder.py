@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
 
+from dfrc import precoder
+from dfrc.channel import (composite_comm_channel, composite_radar_channel,
+                          upa_steering)
+from dfrc.config import parse_config
+from dfrc.driver import make_channels
+from dfrc.objective import build_C
 from dfrc.precoder import (BeampatternSpec, InfeasibleSpecError, NotPSDError,
                            _feasibility_residuals, hermitize, matrix_sqrt,
                            project_feasible, solve_covariance)
@@ -15,6 +21,20 @@ def random_hermitian(rng, m):
 def random_psd(rng, m):
     z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     return z @ z.conj().T
+
+
+@pytest.fixture
+def projection_calls(monkeypatch):
+    """Record every project_feasible call that solve_covariance makes."""
+    calls = []
+    original = precoder.project_feasible
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(precoder, "project_feasible", counted)
+    return calls
 
 
 def omni_spec(power, m, gamma):
@@ -158,6 +178,38 @@ class TestSolveCovariance:
         assert eig[0] >= -1e-8 * max(eig[-1], 1e-300)
         assert np.linalg.norm(sol.w @ sol.w.conj().T - sol.r_w, "fro") \
             <= 1e-8 * np.linalg.norm(sol.r_w, "fro")
+
+    def test_psd_closed_form_start_is_returned_after_one_projection(
+            self, projection_calls):
+        # lambda_min(R_d) = 2 >= gamma_bp = 1.5, so R_d + gamma_bp C0/||C0||
+        # is PSD and hence the exact optimum
+        power, m = 8.0, 4
+        spec = omni_spec(power, m, 1.5)
+        c = random_psd(np.random.default_rng(11), m)
+        c0 = c - (np.trace(c).real / m) * np.eye(m)
+        r0 = spec.r_d + (spec.gamma_bp / np.linalg.norm(c0, "fro")) * c0
+        sol = solve_covariance(c, power, spec)
+        assert np.linalg.norm(sol.r_w - r0, "fro") <= 1e-10 * power
+        assert len(projection_calls) == 1
+
+    def test_ball_inactive_regime_takes_at_most_two_steps(
+            self, projection_calls):
+        # table1 geometry at P0 = 10 <= 10.69: the ball does not bind and
+        # the optimum is the rank-one P0 v1 v1^H on the PSD boundary
+        cfg = parse_config("table1", ["p0=10", "gamma_bp=10"])
+        channels = make_channels(cfg)
+        a_irs = upa_steering(cfg.geometry)
+        rng = np.random.default_rng(12)
+        for _ in range(3):
+            theta = np.exp(1j * rng.uniform(
+                0, 2 * np.pi, cfg.geometry.num_irs_elements))
+            c = build_C(composite_radar_channel(channels, theta, a_irs),
+                        composite_comm_channel(channels, theta), cfg.weights)
+            projection_calls.clear()
+            sol = solve_covariance(c, cfg.p0, cfg.beampattern)
+            assert len(projection_calls) <= 2
+            bound = cfg.p0 * float(np.linalg.eigvalsh(hermitize(c))[-1])
+            assert sol.objective == pytest.approx(bound, rel=1e-6)
 
     def test_infeasible_spec_rejected(self):
         spec = BeampatternSpec(r_d=np.eye(2, dtype=complex), gamma_bp=1.0)
