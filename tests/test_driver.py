@@ -74,9 +74,10 @@ class TestAlternate:
             f_prev, f_last = trace.objectives[-2:]
             assert abs(f_last - f_prev) <= cfg.epsilon * abs(f_prev)
 
-    def test_w_step_never_decreases(self):
+    def test_warm_started_w_step_never_decreases(self):
         # the previous covariance stays feasible when the phases move, so
-        # the W-step at the new C must do at least as well as keeping it
+        # the W-step at the new C must do at least as well as starting
+        # from it and keeping it
         cfg = small_cfg()
         channels = make_channels(cfg)
         a_irs = upa_steering(cfg.geometry)
