@@ -9,9 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.typing import NDArray
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 ComplexArray = NDArray[np.complexfloating]
 
@@ -49,20 +53,19 @@ class ChannelSet:
     """All propagation matrices of one scenario realization.
 
     G: radar->IRS (N x M), F: radar->users (K x M), H: IRS->users (K x N),
-    eta: round-trip radar-IRS-target path coefficient.
+    eta: round-trip radar-IRS-target path coefficient.  K is F's row count.
     """
 
     G: ComplexArray
     F: ComplexArray
     H: ComplexArray
     eta: complex
-    num_users: int
 
     def __post_init__(self) -> None:
         n, m = self.G.shape
-        k = self.num_users
+        k = len(self.F)
         if self.F.shape != (k, m):
-            raise ValueError(f"F must be {k}x{m}, got {self.F.shape}")
+            raise ValueError(f"F must be Kx{m}, got {self.F.shape}")
         if self.H.shape != (k, n):
             raise ValueError(f"H must be {k}x{n}, got {self.H.shape}")
 
@@ -129,31 +132,21 @@ def los_component(geometry: SystemGeometry,
     return np.outer(a_irs, a_radar)
 
 
-def synthesize_channels(geometry: SystemGeometry,
-                        num_users: int,
-                        seed: int,
-                        rician_factor: float = 1.0,
-                        eta: complex = 1.0 + 0.0j,
-                        g_scale: float = 1.0,
-                        f_scale: float = 1.0,
-                        h_scale: float = 1.0,
-                        radar_departure_angle: float = 0.0,
-                        irs_arrival_azimuth: float = 0.0,
-                        irs_arrival_elevation: float = 0.0) -> ChannelSet:
-    """Draw a full ChannelSet deterministically from a seed.
+def synthesize_channels(cfg: RunConfig) -> ChannelSet:
+    """Draw a full ChannelSet deterministically from the config's seed.
 
     G is Rician around the configured LOS geometry; F and H are Rayleigh.
     Draw order is fixed (G, F, H) so a seed pins the whole realization.
     """
-    rng = np.random.default_rng(seed)
-    n = geometry.num_irs_elements
-    m = geometry.num_radar_antennas
-    los = los_component(geometry, radar_departure_angle,
-                        irs_arrival_azimuth, irs_arrival_elevation)
-    g = g_scale * rician_channel(los, rician_factor, rng)
-    f = f_scale * rayleigh_channel(num_users, m, rng)
-    h = h_scale * rayleigh_channel(num_users, n, rng)
-    return ChannelSet(G=g, F=f, H=h, eta=complex(eta), num_users=num_users)
+    rng = np.random.default_rng(cfg.seed)
+    geometry = cfg.geometry
+    los = los_component(geometry, cfg.los_radar_angle, cfg.los_irs_azimuth,
+                        cfg.los_irs_elevation)
+    g = cfg.g_scale * rician_channel(los, cfg.k_g, rng)
+    f = cfg.f_scale * rayleigh_channel(cfg.num_users, cfg.m, rng)
+    h = cfg.h_scale * rayleigh_channel(cfg.num_users,
+                                       geometry.num_irs_elements, rng)
+    return ChannelSet(G=g, F=f, H=h, eta=complex(cfg.eta))
 
 
 def composite_radar_channel(channels: ChannelSet, theta: ComplexArray,

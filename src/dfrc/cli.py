@@ -123,11 +123,9 @@ def main(argv: list[str] | None = None) -> int:
 
         start = time.perf_counter()
         if args.command == "converge":
-            result = run_convergence_experiment(cfg, cfg.num_realizations,
-                                                cfg.alphas)
+            result = run_convergence_experiment(cfg)
         else:  # sweep
-            result = run_power_sweep(cfg, cfg.sweep_p0, cfg.sweep_m,
-                                     cfg.sweep_n, cfg.num_realizations)
+            result = run_power_sweep(cfg)
         wall = time.perf_counter() - start
         files = emit_results(result, args.out, format_config(cfg),
                              cfg.seed, wall)

@@ -170,16 +170,21 @@ TABLE1_PRESET: dict[str, str] = {
 PRESETS = {"table1": TABLE1_PRESET}
 
 
-def _parse_scalar(key: str, text: str, kind: str, line: int):
+def _parse_scalar(key: str, text: str, kind: str, where: str):
     try:
         return _PARSERS[kind](text)
     except ValueError as exc:
         raise BadValueError(
-            f"line {line}: cannot parse {key!r} = {text!r} as {kind}") from exc
+            f"{where}: cannot parse {key!r} = {text!r} as {kind}") from exc
 
 
-def _read_pairs(path: str | Path) -> dict[str, tuple[str, int]]:
-    pairs: dict[str, tuple[str, int]] = {}
+# Each pair is key -> (value text, where it came from): "line N" of a config
+# file, the "--set key=value" override, or the preset's name.
+_Pairs = dict[str, tuple[str, str]]
+
+
+def _read_pairs(path: str | Path) -> _Pairs:
+    pairs: _Pairs = {}
     text = Path(path).read_text()
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -189,16 +194,15 @@ def _read_pairs(path: str | Path) -> dict[str, tuple[str, int]]:
             raise BadValueError(f"line {lineno}: expected 'key = value', "
                                 f"got {raw_line!r}")
         key, value = line.split("=", 1)
-        pairs[key.strip()] = (value.strip(), lineno)
+        pairs[key.strip()] = (value.strip(), f"line {lineno}")
     return pairs
 
 
-def _resolve(pairs: dict[str, tuple[str, int]]) -> dict[str, object]:
+def _resolve(pairs: _Pairs) -> dict[str, object]:
     """Validate keys, apply dB precedence, and type every value."""
-    for key in pairs:
+    for key, (_, where) in pairs.items():
         if key not in _KEYS and key not in _DB_ALIASES.values():
-            line = pairs[key][1]
-            raise UnknownKeyError(f"line {line}: unknown key {key!r}")
+            raise UnknownKeyError(f"{where}: unknown key {key!r}")
     resolved: dict[str, object] = {}
     for key, kind in _KEYS.items():
         db_alias = _DB_ALIASES.get(key)
@@ -212,16 +216,16 @@ def _resolve(pairs: dict[str, tuple[str, int]]) -> dict[str, object]:
                                   + (f" (or {db_alias!r})" if db_alias else ""))
         linear_val = None
         if has_linear:
-            text, line = pairs[key]
-            linear_val = _parse_scalar(key, text, kind, line)
+            text, where = pairs[key]
+            linear_val = _parse_scalar(key, text, kind, where)
         if has_db:
-            text, line = pairs[db_alias]
-            db_val = _parse_scalar(db_alias, text, "float", line)
+            text, where = pairs[db_alias]
+            db_val = _parse_scalar(db_alias, text, "float", where)
             converted = db_to_linear(db_val)
             if has_linear and not math.isclose(converted, linear_val,
                                                rel_tol=1e-9, abs_tol=0.0):
                 raise BadValueError(
-                    f"line {line}: {db_alias} = {db_val} (linear "
+                    f"{where}: {db_alias} = {db_val} (linear "
                     f"{converted:.6g}) contradicts {key} = {linear_val}")
             resolved[key] = converted
         else:
@@ -259,6 +263,9 @@ def _validate(values: dict[str, object]) -> None:
         bad("theta_init", "must be 'allones' or 'random'")
     if any(not 0.0 <= a <= 1.0 for a in values["alphas"]):
         bad("alphas", "entries must lie in [0, 1]")
+    for key in ("sweep_p0", "sweep_m", "sweep_n"):
+        if not values[key]:
+            bad(key, "must list at least one entry")
     if any(p <= 0 for p in values["sweep_p0"]):
         bad("sweep_p0", "entries must be positive")
     for key in ("sweep_m", "sweep_n"):
@@ -292,12 +299,12 @@ def parse_config(source: str | Path,
     RunConfig, applying ``key=value`` override strings last."""
     name = str(source)
     if name in PRESETS:
-        pairs = {k: (v, 0) for k, v in PRESETS[name].items()}
+        pairs = {k: (v, f"preset {name}") for k, v in PRESETS[name].items()}
     else:
         if not Path(source).exists():
             raise ConfigError(f"config file not found: {source}")
         pairs = _read_pairs(source)
-    for i, item in enumerate(overrides or []):
+    for item in overrides or []:
         if "=" not in item:
             raise BadValueError(f"override {item!r} is not key=value")
         key, value = item.split("=", 1)
@@ -306,7 +313,7 @@ def parse_config(source: str | Path,
         linear = next((k for k, a in _DB_ALIASES.items() if a == key), key)
         pairs.pop(linear, None)
         pairs.pop(_DB_ALIASES.get(linear), None)
-        pairs[key] = (value.strip(), -(i + 1))
+        pairs[key] = (value.strip(), f"--set {item}")
     values = _resolve(pairs)
     _validate(values)
     path = values["r_d_path"]

@@ -15,9 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.typing import NDArray
 
-from .channel import (ChannelSet, composite_comm_channel,
-                      composite_radar_channel, synthesize_channels,
-                      upa_steering)
+from .channel import (composite_comm_channel, composite_radar_channel,
+                      synthesize_channels, upa_steering)
 from .config import BadValueError, RunConfig
 from .manifold import ascent_step, euclidean_gradient, project_tangent
 from .objective import build_C, build_bundle, comm_snr, radar_snr, \
@@ -80,16 +79,6 @@ class ExperimentResult:
     curves: tuple[Curve, ...]
 
 
-def make_channels(cfg: RunConfig) -> ChannelSet:
-    return synthesize_channels(
-        cfg.geometry, cfg.num_users, seed=cfg.seed,
-        rician_factor=cfg.k_g, eta=cfg.eta,
-        g_scale=cfg.g_scale, f_scale=cfg.f_scale, h_scale=cfg.h_scale,
-        radar_departure_angle=cfg.los_radar_angle,
-        irs_arrival_azimuth=cfg.los_irs_azimuth,
-        irs_arrival_elevation=cfg.los_irs_elevation)
-
-
 def initial_theta(cfg: RunConfig) -> ComplexArray:
     n = cfg.n_x * cfg.n_y
     if cfg.theta_init == "allones":
@@ -100,7 +89,7 @@ def initial_theta(cfg: RunConfig) -> ComplexArray:
 
 def alternate(cfg: RunConfig) -> ConvergenceTrace:
     """Run the full alternating algorithm and return its trace."""
-    channels = make_channels(cfg)
+    channels = synthesize_channels(cfg)
     a_irs = upa_steering(cfg.geometry)
     weights, beampattern = cfg.weights, cfg.beampattern
     theta = initial_theta(cfg)
@@ -140,10 +129,11 @@ def alternate(cfg: RunConfig) -> ConvergenceTrace:
                             theta=theta, r_w=r_w)
 
 
-def _realization_traces(cfg: RunConfig,
-                        num_realizations: int) -> list[ConvergenceTrace]:
+def _realization_traces(cfg: RunConfig) -> list[ConvergenceTrace]:
+    if cfg.num_realizations < 1:
+        raise ValueError("num_realizations must be >= 1")
     return [alternate(replace(cfg, seed=cfg.seed + idx))
-            for idx in range(num_realizations)]
+            for idx in range(cfg.num_realizations)]
 
 
 def _aligned_stats(traces: list[ConvergenceTrace]) -> tuple[np.ndarray,
@@ -159,19 +149,12 @@ def _aligned_stats(traces: list[ConvergenceTrace]) -> tuple[np.ndarray,
     return grid.mean(axis=0), grid.std(axis=0)
 
 
-def run_convergence_experiment(cfg: RunConfig, num_realizations: int,
-                               alphas: tuple[float, ...] | None = None
-                               ) -> ExperimentResult:
-    """Convergence curves (objective vs iteration) for a list of trade-off
-    weights, averaged over independent channel realizations."""
-    if num_realizations < 1:
-        raise ValueError("num_realizations must be >= 1")
-    if alphas is None:
-        alphas = cfg.alphas or (cfg.alpha,)
+def run_convergence_experiment(cfg: RunConfig) -> ExperimentResult:
+    """Convergence curves (objective vs iteration) for each of ``alphas``
+    (or ``alpha`` alone), averaged over ``num_realizations`` channels."""
     curves = []
-    for alpha in alphas:
-        traces = _realization_traces(replace(cfg, alpha=alpha),
-                                     num_realizations)
+    for alpha in cfg.alphas or (cfg.alpha,):
+        traces = _realization_traces(replace(cfg, alpha=alpha))
         mean, std = _aligned_stats(traces)
         curves.append(Curve(label=f"alpha_{alpha:g}", param=alpha,
                             x=tuple(float(i) for i in range(len(mean))),
@@ -190,35 +173,30 @@ def _factor_grid(n: int) -> tuple[int, int]:
     return best, n // best
 
 
-def run_power_sweep(cfg: RunConfig,
-                    p0_list: tuple[float, ...],
-                    m_list: tuple[int, ...],
-                    n_list: tuple[int, ...],
-                    num_realizations: int) -> ExperimentResult:
-    """Converged weighted SNR versus transmit power for each (M, N) pair."""
-    if not (p0_list and m_list and n_list):
+def run_power_sweep(cfg: RunConfig) -> ExperimentResult:
+    """Converged weighted SNR versus each ``sweep_p0`` power for every
+    (M, N) pair of ``sweep_m`` x ``sweep_n``."""
+    if not (cfg.sweep_p0 and cfg.sweep_m and cfg.sweep_n):
         raise ValueError("sweep lists must be nonempty")
-    if num_realizations < 1:
-        raise ValueError("num_realizations must be >= 1")
     if cfg.r_d_path:
         # each (M, P0) point needs its own R_d; one file cannot supply them
         raise BadValueError("r_d_path is not supported by sweep, which "
                             "uses the isotropic R_d = (p0/m) I")
     curves = []
-    for m in m_list:
-        for n in n_list:
+    for m in cfg.sweep_m:
+        for n in cfg.sweep_n:
             means, stds, all_traces = [], [], []
             n_y, n_x = _factor_grid(n)
-            for p0 in p0_list:
+            for p0 in cfg.sweep_p0:
                 # the isotropic R_d = (p0/m) I follows m and p0
                 cfg_p = replace(cfg, m=m, n_y=n_y, n_x=n_x, p0=p0)
-                traces = _realization_traces(cfg_p, num_realizations)
+                traces = _realization_traces(cfg_p)
                 finals = np.array([t.final_objective for t in traces])
                 means.append(float(finals.mean()))
                 stds.append(float(finals.std()))
                 all_traces.extend(traces)
             curves.append(Curve(label=f"m_{m}_n_{n}", param=(m, n),
-                                x=tuple(float(p) for p in p0_list),
+                                x=tuple(float(p) for p in cfg.sweep_p0),
                                 mean=tuple(means), std=tuple(stds),
                                 traces=tuple(all_traces)))
     return ExperimentResult(kind="sweep", curves=tuple(curves))

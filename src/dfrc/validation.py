@@ -40,8 +40,7 @@ def random_instance(rng: np.random.Generator, m: int, n: int, k: int,
         G=rayleigh_channel(n, m, rng),
         F=rayleigh_channel(k, m, rng),
         H=rayleigh_channel(k, n, rng),
-        eta=complex(rng.standard_normal() + 1j * rng.standard_normal()),
-        num_users=k)
+        eta=complex(rng.standard_normal() + 1j * rng.standard_normal()))
     a_irs = upa_steering(geometry)
     w = rayleigh_channel(m, m, rng)
     if alpha is None:

@@ -14,8 +14,7 @@ from dfrc import cli
 from dfrc.channel import composite_comm_channel, composite_radar_channel, \
     upa_steering
 from dfrc.config import parse_config
-from dfrc.driver import CONVERGED, alternate, make_channels, \
-    run_convergence_experiment
+from dfrc.driver import CONVERGED, alternate, run_convergence_experiment
 from dfrc.manifold import (ascent_step, euclidean_gradient,
                            finite_difference_gradient, project_tangent)
 from dfrc.objective import build_bundle, build_C, comm_snr, eval_f1, \
@@ -127,8 +126,9 @@ def test_criterion_4_solver_optimality():
 
 def test_criterion_5_convergence_experiment():
     start = time.perf_counter()
-    cfg = parse_config("table1")  # M=8, N=64, j_max=500
-    result = run_convergence_experiment(cfg, 20, (0.1, 0.5, 0.9))
+    cfg = parse_config("table1", [  # M=8, N=64, j_max=500
+        "num_realizations=20", "alphas=0.1,0.5,0.9"])
+    result = run_convergence_experiment(cfg)
     all_converged = all(t.flag == CONVERGED
                         for c in result.curves for t in c.traces)
     all_gained = all(t.final_objective > t.objectives[0]
@@ -202,6 +202,37 @@ def test_criterion_8_csv_determinism(tmp_path):
     report("criterion 8 (determinism)",
            identical and n_csv == 2,
            f"{n_csv} CSV files byte-identical across reruns: {identical}")
+
+
+def alpha_tradeoff(cfg) -> tuple[np.ndarray, np.ndarray]:
+    """Mean final SNR_r and SNR_c in dB over 10 seeds, at each alpha of
+    0, 0.1, ..., 1."""
+    result = run_convergence_experiment(replace(
+        cfg, alphas=tuple(i / 10 for i in range(11)), num_realizations=10))
+    snr_db = np.array([[[10 * math.log10(t.records[-1].radar_snr),
+                         10 * math.log10(t.records[-1].comm_snr)]
+                        for t in curve.traces] for curve in result.curves])
+    means = snr_db.mean(axis=1)
+    return means[:, 0], means[:, 1]
+
+
+def test_criterion_9_alpha_trades_radar_for_comm():
+    # eta = 1e-2 (-40 dB on the IRS-target round trip) makes the radar and
+    # communication terms comparable; on table1 the radar term dominates
+    start = time.perf_counter()
+    snr_r, snr_c = alpha_tradeoff(parse_config("table1", ["eta=0.01"]))
+    elapsed = time.perf_counter() - start
+    worst_r, worst_c = np.max(np.diff(snr_r)), -np.min(np.diff(snr_c))
+    radar_fall = snr_r[1] - snr_r[9]  # from alpha = 0.1 to 0.9
+    comm_rise = snr_c[9] - snr_c[1]
+    report("criterion 9 (alpha trade-off)",
+           worst_r <= 0.01 and worst_c <= 0.01
+           and radar_fall >= 10.0 and comm_rise >= 3.0,
+           f"worst SNR_r rise {worst_r:.2e} dB and SNR_c fall {worst_c:.2e} "
+           f"dB per alpha step (<= 0.01); alpha 0.1 -> 0.9: SNR_r "
+           f"{snr_r[1]:.2f} -> {snr_r[9]:.2f} dB (falls >= 10), SNR_c "
+           f"{snr_c[1]:.2f} -> {snr_c[9]:.2f} dB (rises >= 3), "
+           f"{elapsed:.1f}s")
 
 
 if __name__ == "__main__":

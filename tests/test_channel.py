@@ -5,6 +5,7 @@ from dfrc.channel import (ChannelSet, SystemGeometry, composite_comm_channel,
                           composite_radar_channel, los_component,
                           rayleigh_channel, rician_channel,
                           synthesize_channels, upa_steering)
+from dfrc.config import parse_config
 
 
 def geom(m=2, n_y=2, n_x=2, az=0.3, el=0.7):
@@ -95,7 +96,16 @@ def small_channels(seed=0, n=4, m=3, k=2, eta=1.0 + 0j):
     return ChannelSet(G=rayleigh_channel(n, m, rng),
                       F=rayleigh_channel(k, m, rng),
                       H=rayleigh_channel(k, n, rng),
-                      eta=eta, num_users=k)
+                      eta=eta)
+
+
+class TestChannelSet:
+    def test_user_counts_of_f_and_h_must_agree(self):
+        ch = small_channels(k=2)
+        with pytest.raises(ValueError, match="H must be 2x4"):
+            ChannelSet(G=ch.G, F=ch.F, H=ch.H[:1], eta=ch.eta)
+        with pytest.raises(ValueError, match="F must be Kx3"):
+            ChannelSet(G=ch.G, F=ch.F[:, :2], H=ch.H, eta=ch.eta)
 
 
 class TestCompositeRadar:
@@ -108,8 +118,7 @@ class TestCompositeRadar:
     def test_scalar_expansion(self):
         g, phi, eta = 1.3 - 0.4j, 0.8, 2.0 + 1.0j
         ch = ChannelSet(G=np.array([[g]]), F=np.zeros((1, 1), dtype=complex),
-                        H=np.zeros((1, 1), dtype=complex), eta=eta,
-                        num_users=1)
+                        H=np.zeros((1, 1), dtype=complex), eta=eta)
         theta = np.array([np.exp(1j * phi)])
         f_r = composite_radar_channel(ch, theta, np.ones(1, dtype=complex))
         np.testing.assert_allclose(f_r, [[eta * g ** 2 * np.exp(2j * phi)]])
@@ -139,43 +148,45 @@ class TestCompositeRadar:
 class TestCompositeComm:
     def test_no_irs_path(self):
         ch = small_channels()
-        ch = ChannelSet(G=ch.G, F=ch.F, H=np.zeros_like(ch.H), eta=ch.eta,
-                        num_users=ch.num_users)
+        ch = ChannelSet(G=ch.G, F=ch.F, H=np.zeros_like(ch.H), eta=ch.eta)
         theta = np.exp(1j * np.linspace(0, 2, 4))
         np.testing.assert_allclose(composite_comm_channel(ch, theta), ch.F)
 
     def test_identity_phases(self):
         ch = small_channels()
-        ch = ChannelSet(G=ch.G, F=np.zeros_like(ch.F), H=ch.H, eta=ch.eta,
-                        num_users=ch.num_users)
+        ch = ChannelSet(G=ch.G, F=np.zeros_like(ch.F), H=ch.H, eta=ch.eta)
         f_c = composite_comm_channel(ch, np.ones(4, dtype=complex))
         np.testing.assert_allclose(f_c, ch.H @ ch.G)
 
     def test_scalar_expansion(self):
         ch = ChannelSet(G=np.array([[3.0 + 0j]]), F=np.array([[1.0 + 0j]]),
-                        H=np.array([[2.0 + 0j]]), eta=1.0, num_users=1)
+                        H=np.array([[2.0 + 0j]]), eta=1.0)
         f_c = composite_comm_channel(ch, np.array([1j]))
         np.testing.assert_allclose(f_c, [[1.0 + 6.0j]])
 
 
+def synthesis_cfg(m=2, n_y=2, n_x=2, num_users=3, seed=0):
+    return parse_config("table1", [
+        f"m={m}", f"n_y={n_y}", f"n_x={n_x}", f"num_users={num_users}",
+        f"seed={seed}"])
+
+
 class TestSynthesis:
     def test_byte_identical_reruns(self):
-        g = geom()
-        a = synthesize_channels(g, 3, seed=123)
-        b = synthesize_channels(g, 3, seed=123)
+        a = synthesize_channels(synthesis_cfg(seed=123))
+        b = synthesize_channels(synthesis_cfg(seed=123))
         np.testing.assert_array_equal(a.G, b.G)
         np.testing.assert_array_equal(a.F, b.F)
         np.testing.assert_array_equal(a.H, b.H)
 
     def test_distinct_seeds_differ(self):
-        g = geom()
-        a = synthesize_channels(g, 3, seed=1)
-        b = synthesize_channels(g, 3, seed=2)
+        a = synthesize_channels(synthesis_cfg(seed=1))
+        b = synthesize_channels(synthesis_cfg(seed=2))
         assert not np.allclose(a.G, b.G)
 
     def test_shapes(self):
-        g = geom(m=5, n_y=3, n_x=2)
-        ch = synthesize_channels(g, 4, seed=0)
+        ch = synthesize_channels(synthesis_cfg(m=5, n_y=3, n_x=2,
+                                               num_users=4))
         assert ch.G.shape == (6, 5)
         assert ch.F.shape == (4, 5)
         assert ch.H.shape == (4, 6)

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from dfrc import channel, cli, driver, manifold, precoder
-from dfrc.config import (TABLE1_PRESET, BadValueError, MissingKeyError,
-                         RunConfig, UnknownKeyError, format_config,
-                         parse_config)
+from dfrc.config import (TABLE1_PRESET, BadValueError, ConfigError,
+                         MissingKeyError, RunConfig, UnknownKeyError,
+                         format_config, parse_config)
 from dfrc.validation import CheckResult, format_table
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -246,7 +246,8 @@ class TestCommands:
                        "--set", "alpha=2", "--out", str(tmp_path)) == 2
 
     @pytest.mark.parametrize("item", [
-        "sweep_p0=1000,-5", "sweep_m=4,0", "sweep_n=16,0"])
+        "sweep_p0=1000,-5", "sweep_m=4,0", "sweep_n=16,0",
+        "sweep_p0=", "sweep_m=", "sweep_n="])
     def test_sweep_list_entries_checked_before_any_run(self, item, tmp_path,
                                                        capsys, monkeypatch):
         runs = []
@@ -257,6 +258,21 @@ class TestCommands:
         key = item.split("=")[0]
         assert f"config error: {key} = " in capsys.readouterr().err
         assert runs == []
+
+    @pytest.mark.parametrize("item, why", [
+        ("foo=1", "unknown key 'foo'"),
+        ("sweep_m=4.5", "cannot parse 'sweep_m' = '4.5'")])
+    def test_override_errors_name_the_override(self, item, why, tmp_path,
+                                               capsys):
+        assert run_cli("print-config", "--config", "table1",
+                       "--set", item) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: --set {item}: {why}")
+        # the same mistake in a file names its line
+        path = tmp_path / "bad.cfg"
+        path.write_text(format_config(parse_config("table1")) + item + "\n")
+        with pytest.raises(ConfigError, match=f"^line 33: {why}"):
+            parse_config(path)
 
     def test_missing_config_file_exit_code(self, tmp_path):
         assert run_cli("print-config",

@@ -6,7 +6,8 @@ import pytest
 from dfrc.channel import ChannelSet, composite_comm_channel, \
     composite_radar_channel, upa_steering
 from dfrc.config import parse_config
-from dfrc.driver import (CONVERGED, HIT_CAP, alternate, make_channels,
+from dfrc.channel import synthesize_channels
+from dfrc.driver import (CONVERGED, HIT_CAP, alternate,
                          run_convergence_experiment, run_power_sweep)
 from dfrc.manifold import euclidean_gradient
 from dfrc.objective import build_C
@@ -79,7 +80,7 @@ class TestAlternate:
         # the W-step at the new C must do at least as well as starting
         # from it and keeping it
         cfg = small_cfg()
-        channels = make_channels(cfg)
+        channels = synthesize_channels(cfg)
         a_irs = upa_steering(cfg.geometry)
         rng = np.random.default_rng(0)
         r_prev = None
@@ -136,29 +137,30 @@ class TestAlternate:
 
 class TestConvergenceExperiment:
     def test_single_realization_stats(self):
-        cfg = small_cfg(j_max=15)
-        result = run_convergence_experiment(cfg, 1, (0.5,))
+        cfg = small_cfg(j_max=15, num_realizations=1, alphas=0.5)
+        result = run_convergence_experiment(cfg)
         curve = result.curves[0]
         trace = curve.traces[0]
         np.testing.assert_allclose(curve.mean, trace.objectives)
         assert all(s == 0.0 for s in curve.std)
 
     def test_one_curve_per_alpha(self):
-        result = run_convergence_experiment(small_cfg(j_max=5), 2,
-                                            (0.2, 0.8))
+        result = run_convergence_experiment(
+            small_cfg(j_max=5, num_realizations=2, alphas="0.2,0.8"))
         assert [c.param for c in result.curves] == [0.2, 0.8]
 
     def test_smaller_alpha_not_slower_majority(self):
-        cfg = small_cfg(j_max=120)
-        result = run_convergence_experiment(cfg, 6, (0.1, 0.9))
+        cfg = small_cfg(j_max=120, num_realizations=6, alphas="0.1,0.9")
+        result = run_convergence_experiment(cfg)
         fast, slow = result.curves
         wins = sum(a.iterations_to_converge <= b.iterations_to_converge
                    for a, b in zip(fast.traces, slow.traces))
         assert wins >= len(fast.traces) / 2
 
     def test_mean_curve_smoothed_nondecreasing(self):
-        cfg = parse_config("table1", ["j_max=60"])
-        result = run_convergence_experiment(cfg, 4, (0.5,))
+        cfg = parse_config("table1", ["j_max=60", "num_realizations=4",
+                                      "alphas=0.5"])
+        result = run_convergence_experiment(cfg)
         mean = np.array(result.curves[0].mean)
         kernel = np.ones(5) / 5
         smooth = np.convolve(mean, kernel, mode="valid")
@@ -166,19 +168,22 @@ class TestConvergenceExperiment:
 
     def test_rejects_zero_realizations(self):
         with pytest.raises(ValueError):
-            run_convergence_experiment(small_cfg(), 0)
+            run_convergence_experiment(replace(small_cfg(),
+                                               num_realizations=0))
 
 
 class TestPowerSweep:
     def test_more_irs_elements_win(self):
-        cfg = small_cfg(j_max=60)
-        result = run_power_sweep(cfg, (10.0,), (3,), (4, 9), 4)
+        cfg = small_cfg(j_max=60, sweep_p0=10, sweep_m=3, sweep_n="4,9",
+                        num_realizations=4)
+        result = run_power_sweep(cfg)
         by_n = {c.param: c.mean[0] for c in result.curves}
         assert by_n[(3, 9)] > by_n[(3, 4)]
 
     def test_more_antennas_win(self):
-        cfg = small_cfg(j_max=60)
-        result = run_power_sweep(cfg, (10.0,), (2, 4), (9,), 4)
+        cfg = small_cfg(j_max=60, sweep_p0=10, sweep_m="2,4", sweep_n=9,
+                        num_realizations=4)
+        result = run_power_sweep(cfg)
         by_m = {c.param: c.mean[0] for c in result.curves}
         assert by_m[(4, 9)] > by_m[(2, 9)]
 
@@ -188,7 +193,7 @@ class TestPowerSweep:
         cfg = small_cfg(j_max=60)
         base = alternate(cfg)
         theta = base.theta
-        channels = make_channels(cfg)
+        channels = synthesize_channels(cfg)
         a_irs = upa_steering(cfg.geometry)
         f_r = composite_radar_channel(channels, theta, a_irs)
         f_c = composite_comm_channel(channels, theta)
@@ -201,4 +206,4 @@ class TestPowerSweep:
 
     def test_rejects_empty_sweep(self):
         with pytest.raises(ValueError):
-            run_power_sweep(small_cfg(), (), (2,), (4,), 1)
+            run_power_sweep(replace(small_cfg(), sweep_p0=()))

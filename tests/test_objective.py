@@ -96,8 +96,7 @@ class TestBundle:
     def test_scalar_z_matrix(self):
         g, w = 1.4 - 0.2j, 0.7 + 0.3j
         ch = ChannelSet(G=np.array([[g]]), F=np.zeros((1, 1), dtype=complex),
-                        H=np.zeros((1, 1), dtype=complex), eta=1.0,
-                        num_users=1)
+                        H=np.zeros((1, 1), dtype=complex), eta=1.0)
         bundle = ref.build_dense_bundle(ch, np.ones(1, dtype=complex),
                                         np.array([[w]]),
                                         DesignWeights(0.5, 1.0, 1.0))
@@ -221,7 +220,7 @@ class TestEvalF1:
         ch, a, w, _, th = random_instance(rng, 3, 6, 2)
         wt = DesignWeights(alpha=0.0, sigma_r_sq=1.1, sigma_c_sq=0.9)
         perturbed = ChannelSet(G=ch.G, F=ch.F + 1.0, H=ch.H - 2.0j,
-                               eta=ch.eta, num_users=ch.num_users)
+                               eta=ch.eta)
         b1 = build_bundle(ch, a, w, wt)
         b2 = build_bundle(perturbed, a, w, wt)
         assert abs((eval_f1(th, b1) + b1.t0) - (eval_f1(th, b2) + b2.t0)) \

@@ -3,9 +3,8 @@ import pytest
 
 from dfrc import precoder
 from dfrc.channel import (composite_comm_channel, composite_radar_channel,
-                          upa_steering)
+                          synthesize_channels, upa_steering)
 from dfrc.config import parse_config
-from dfrc.driver import make_channels
 from dfrc.objective import build_C
 from dfrc.precoder import (BeampatternSpec, InfeasibleSpecError, NotPSDError,
                            _feasibility_residuals, hermitize, matrix_sqrt,
@@ -197,7 +196,7 @@ class TestSolveCovariance:
         # table1 geometry at P0 = 10 <= 10.69: the ball does not bind and
         # the optimum is the rank-one P0 v1 v1^H on the PSD boundary
         cfg = parse_config("table1", ["p0=10", "gamma_bp=10"])
-        channels = make_channels(cfg)
+        channels = synthesize_channels(cfg)
         a_irs = upa_steering(cfg.geometry)
         rng = np.random.default_rng(12)
         for _ in range(3):
