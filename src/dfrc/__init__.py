@@ -3,16 +3,13 @@
 Alternates a projected-gradient solve of the transmit covariance with
 Riemannian gradient ascent of the unit-modulus IRS phase vector to
 maximize a weighted sum of radar and communication receiver SNRs.
+
+Only the config layer is imported here, so ``import dfrc`` loads no
+numpy; the runners live in ``dfrc.driver``.
 """
 
 from .config import ConfigError, RunConfig, parse_config
-from .driver import (ConvergenceTrace, ExperimentResult, alternate,
-                     run_convergence_experiment, run_power_sweep)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigError", "ConvergenceTrace", "ExperimentResult", "RunConfig",
-    "__version__", "alternate", "parse_config", "run_convergence_experiment",
-    "run_power_sweep",
-]
+__all__ = ["ConfigError", "RunConfig", "__version__", "parse_config"]

@@ -7,45 +7,11 @@ Kronecker product of the per-axis factors with the y-axis index outermost.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import NDArray
 
-if TYPE_CHECKING:
-    from .config import RunConfig
-
-ComplexArray = NDArray[np.complexfloating]
-
-
-@dataclass(frozen=True)
-class SystemGeometry:
-    """Radar array, IRS grid, and target-direction parameters."""
-
-    num_radar_antennas: int
-    irs_rows: int          # N_y
-    irs_cols: int          # N_x
-    radar_spacing: float   # in wavelengths
-    irs_spacing: float     # in wavelengths
-    target_azimuth: float  # rad
-    target_elevation: float  # rad
-
-    def __post_init__(self) -> None:
-        if self.num_radar_antennas < 1:
-            raise ValueError("num_radar_antennas must be >= 1")
-        if self.irs_rows < 1 or self.irs_cols < 1:
-            raise ValueError("IRS grid dimensions must be >= 1")
-        if self.radar_spacing <= 0 or self.irs_spacing <= 0:
-            raise ValueError("element spacings must be positive")
-        for ang in (self.target_azimuth, self.target_elevation):
-            if not math.isfinite(ang):
-                raise ValueError("angles must be finite")
-
-    @property
-    def num_irs_elements(self) -> int:
-        return self.irs_rows * self.irs_cols
+from .config import ComplexArray, RunConfig, SystemGeometry
 
 
 @dataclass(frozen=True)

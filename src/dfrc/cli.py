@@ -2,21 +2,21 @@
 
 Commands: converge, sweep, validate-gradient, validate-solver,
 print-config.  Exit codes: 0 success, 1 validation failure, 2 config
-error, 3 runtime error.
+error, 3 runtime error.  Each command imports only the modules it runs:
+print-config and config errors load no numpy.
 """
 from __future__ import annotations
 
 import argparse
-import json
-import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .config import ConfigError, format_config, parse_config
-from .driver import HIT_CAP, ExperimentResult, run_convergence_experiment, \
-    run_power_sweep
-from .validation import format_table, gradient_checks, solver_checks
+
+if TYPE_CHECKING:
+    from .driver import ExperimentResult
 
 SCHEMA_VERSION = 1
 
@@ -24,6 +24,7 @@ SCHEMA_VERSION = 1
 def _git_describe() -> str:
     """Commit of the checkout this package was imported from, wherever the
     process runs."""
+    import subprocess
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
                              capture_output=True, text=True, timeout=10,
@@ -40,6 +41,7 @@ def emit_results(result: ExperimentResult, out_dir: str | Path,
                  wall_clock: float) -> list[Path]:
     """Write one CSV per curve plus a JSON manifest; CSV bytes depend only
     on the result contents."""
+    import json
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -99,14 +101,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "validate-gradient":
-            results = gradient_checks()
-        elif args.command == "validate-solver":
-            results = solver_checks()
-        else:
-            results = None
-        if results is not None:
-            print(format_table(results))
+        if args.command.startswith("validate-"):
+            from . import validation
+            results = (validation.gradient_checks()
+                       if args.command == "validate-gradient"
+                       else validation.solver_checks())
+            print(validation.format_table(results))
             if all(r.passed for r in results):
                 return 0
             first_fail = next(r for r in results if not r.passed)
@@ -121,18 +121,19 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(format_config(cfg))
             return 0
 
+        from . import driver
         start = time.perf_counter()
         if args.command == "converge":
-            result = run_convergence_experiment(cfg)
+            result = driver.run_convergence_experiment(cfg)
         else:  # sweep
-            result = run_power_sweep(cfg)
+            result = driver.run_power_sweep(cfg)
         wall = time.perf_counter() - start
         files = emit_results(result, args.out, format_config(cfg),
                              cfg.seed, wall)
         for path in files:
             print(path)
         runs = [t for curve in result.curves for t in curve.traces]
-        capped = sum(t.flag == HIT_CAP for t in runs)
+        capped = sum(t.flag == driver.HIT_CAP for t in runs)
         if capped:
             print(f"warning: {capped} of {len(runs)} runs stopped at "
                   f"j_max={cfg.j_max} without converging", file=sys.stderr)

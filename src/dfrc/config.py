@@ -5,18 +5,23 @@ Every ratio/power key is accepted either in linear form or with a ``_db``
 (or ``_dbm``) suffix; the dB form wins, and supplying both with
 inconsistent values is an error.  The built-in preset ``table1`` carries
 the reference simulation parameters.
+
+This is the bottom layer: it imports nothing numerical at module level,
+so parsing and printing a config load no numpy.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import TYPE_CHECKING, TypeAlias
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
+    from numpy.typing import NDArray
 
-from .channel import ComplexArray, SystemGeometry
-from .objective import DesignWeights
-from .precoder import BeampatternSpec, trace_matches
+# A string, so that resolving a config loads neither numpy nor numpy.typing
+ComplexArray: TypeAlias = "NDArray[np.complexfloating]"
 
 
 class ConfigError(ValueError):
@@ -40,6 +45,63 @@ def db_to_linear(db: float) -> float:
         return 10.0 ** (db / 10.0)
     except OverflowError:  # past the float range; only k_g accepts inf
         return math.inf
+
+
+@dataclass(frozen=True)
+class SystemGeometry:
+    """Radar array, IRS grid, and target-direction parameters."""
+
+    num_radar_antennas: int
+    irs_rows: int          # N_y
+    irs_cols: int          # N_x
+    radar_spacing: float   # in wavelengths
+    irs_spacing: float     # in wavelengths
+    target_azimuth: float  # rad
+    target_elevation: float  # rad
+
+    def __post_init__(self) -> None:
+        if self.num_radar_antennas < 1:
+            raise ValueError("num_radar_antennas must be >= 1")
+        if self.irs_rows < 1 or self.irs_cols < 1:
+            raise ValueError("IRS grid dimensions must be >= 1")
+        if self.radar_spacing <= 0 or self.irs_spacing <= 0:
+            raise ValueError("element spacings must be positive")
+        for ang in (self.target_azimuth, self.target_elevation):
+            if not math.isfinite(ang):
+                raise ValueError("angles must be finite")
+
+    @property
+    def num_irs_elements(self) -> int:
+        return self.irs_rows * self.irs_cols
+
+
+@dataclass(frozen=True)
+class DesignWeights:
+    """Radar/communication trade-off weight and receiver noise powers."""
+
+    alpha: float
+    sigma_r_sq: float
+    sigma_c_sq: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError("alpha must lie in [0, 1]")
+        if self.sigma_r_sq <= 0 or self.sigma_c_sq <= 0:
+            raise ValueError("noise powers must be positive")
+
+
+@dataclass(frozen=True)
+class BeampatternSpec:
+    """Desired covariance R_d and Frobenius-ball radius gamma_bp."""
+
+    r_d: ComplexArray
+    gamma_bp: float
+
+    def __post_init__(self) -> None:
+        if self.gamma_bp < 0:
+            raise ValueError("gamma_bp must be >= 0")
+        if self.r_d.ndim != 2 or self.r_d.shape[0] != self.r_d.shape[1]:
+            raise ValueError("R_d must be square")
 
 
 @dataclass(frozen=True)
@@ -103,6 +165,7 @@ class RunConfig:
     def beampattern(self) -> BeampatternSpec:
         r_d = self.r_d
         if r_d is None:
+            import numpy as np
             r_d = (self.p0 / self.m) * np.eye(self.m, dtype=complex)
         return BeampatternSpec(r_d=r_d, gamma_bp=self.gamma_bp)
 
@@ -185,7 +248,10 @@ _Pairs = dict[str, tuple[str, str]]
 
 def _read_pairs(path: str | Path) -> _Pairs:
     pairs: _Pairs = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:  # e.g. a directory
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -240,7 +306,9 @@ def _validate(values: dict[str, object]) -> None:
     for key, value in values.items():
         for item in value if isinstance(value, tuple) else (value,):
             # k_g = inf is a pure line-of-sight radar->IRS link
-            if isinstance(item, (float, complex)) and not np.isfinite(item) \
+            if isinstance(item, (float, complex)) \
+                    and not (math.isfinite(item.real)
+                             and math.isfinite(item.imag)) \
                     and not (key == "k_g" and item == math.inf):
                 bad(key, "must be finite")
     if not 0.0 <= values["alpha"] <= 1.0:
@@ -276,6 +344,9 @@ def _validate(values: dict[str, object]) -> None:
 def load_r_d(path: str, p0: float, m: int) -> ComplexArray:
     """Desired covariance from a .npy file, which must be m x m with
     trace p0."""
+    import numpy as np
+
+    from .precoder import trace_matches
     try:
         r_d = np.load(path)
     except (OSError, ValueError, EOFError) as exc:
@@ -301,8 +372,6 @@ def parse_config(source: str | Path,
     if name in PRESETS:
         pairs = {k: (v, f"preset {name}") for k, v in PRESETS[name].items()}
     else:
-        if not Path(source).exists():
-            raise ConfigError(f"config file not found: {source}")
         pairs = _read_pairs(source)
     for item in overrides or []:
         if "=" not in item:

@@ -13,17 +13,14 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .channel import (composite_comm_channel, composite_radar_channel,
                       synthesize_channels, upa_steering)
-from .config import BadValueError, RunConfig
+from .config import BadValueError, ComplexArray, RunConfig
 from .manifold import ascent_step, euclidean_gradient, project_tangent
 from .objective import build_C, build_bundle, comm_snr, radar_snr, \
     weighted_objective
 from .precoder import solve_covariance
-
-ComplexArray = NDArray[np.complexfloating]
 
 CONVERGED = "converged"
 HIT_CAP = "hit_cap"

@@ -7,11 +7,9 @@ unit-modulus tangent projection applies unchanged.
 from __future__ import annotations
 
 import numpy as np
-from numpy.typing import NDArray
 
+from .config import ComplexArray
 from .objective import ObjectiveBundle, eval_f1, phase_factors, squared_norm
-
-ComplexArray = NDArray[np.complexfloating]
 
 _ZERO_MAGNITUDE = 1e-14
 # Bounds on the MM step weight kappa: without the floor, halving it after

@@ -16,26 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .channel import ChannelSet
-
-ComplexArray = NDArray[np.complexfloating]
-
-
-@dataclass(frozen=True)
-class DesignWeights:
-    """Radar/communication trade-off weight and receiver noise powers."""
-
-    alpha: float
-    sigma_r_sq: float
-    sigma_c_sq: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
-        if self.sigma_r_sq <= 0 or self.sigma_c_sq <= 0:
-            raise ValueError("noise powers must be positive")
+from .config import ComplexArray, DesignWeights
 
 
 def _output_snr(channel: ComplexArray, precoder: ComplexArray,

@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.typing import NDArray
 
-ComplexArray = NDArray[np.complexfloating]
+from .config import BeampatternSpec, ComplexArray
 
 _MAX_DYKSTRA_CYCLES = 1000
 _MAX_PG_ITER = 5000
@@ -32,20 +31,6 @@ class NotPSDError(ValueError):
 
 class NoConvergenceError(RuntimeError):
     """Dykstra projection failed to reach the feasibility tolerance."""
-
-
-@dataclass(frozen=True)
-class BeampatternSpec:
-    """Desired covariance R_d and Frobenius-ball radius gamma_bp."""
-
-    r_d: ComplexArray
-    gamma_bp: float
-
-    def __post_init__(self) -> None:
-        if self.gamma_bp < 0:
-            raise ValueError("gamma_bp must be >= 0")
-        if self.r_d.ndim != 2 or self.r_d.shape[0] != self.r_d.shape[1]:
-            raise ValueError("R_d must be square")
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSet, SystemGeometry, rayleigh_channel, \
-    upa_steering
+from .channel import ChannelSet, rayleigh_channel, upa_steering
+from .config import BeampatternSpec, DesignWeights, SystemGeometry
 from .manifold import euclidean_gradient, finite_difference_gradient
-from .objective import DesignWeights, ObjectiveBundle, build_bundle
-from .precoder import BeampatternSpec, _feasibility_residuals, \
-    solve_covariance
+from .objective import ObjectiveBundle, build_bundle
+from .precoder import _feasibility_residuals, solve_covariance
 
 
 @dataclass(frozen=True)

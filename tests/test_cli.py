@@ -1,15 +1,17 @@
 import importlib.util
 import json
 import math
+import os
 import re
 import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dfrc import channel, cli, driver, manifold, precoder
+from dfrc import channel, cli, driver, manifold, precoder, validation
 from dfrc.config import (TABLE1_PRESET, BadValueError, ConfigError,
                          MissingKeyError, RunConfig, UnknownKeyError,
                          format_config, parse_config)
@@ -274,9 +276,17 @@ class TestCommands:
         with pytest.raises(ConfigError, match=f"^line 33: {why}"):
             parse_config(path)
 
-    def test_missing_config_file_exit_code(self, tmp_path):
-        assert run_cli("print-config",
-                       "--config", str(tmp_path / "nope.cfg")) == 2
+    @pytest.mark.parametrize("content", [None, "dir", b"m = \xff\n"],
+                             ids=["missing", "directory", "not-utf8"])
+    def test_missing_config_file_exit_code(self, content, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        if content == "dir":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        assert run_cli("print-config", "--config", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(path) in err
 
     @pytest.mark.parametrize("name", ["nope.npy", "archive.npz"])
     def test_unreadable_r_d_file_is_config_error(self, name, tmp_path,
@@ -309,36 +319,59 @@ class TestCommands:
         assert "r_d_path" in err and "sweep" in err
 
 
+class TestStartUp:
+    def test_config_commands_load_no_numerical_module(self):
+        # import dfrc, print-config and a config error resolve text only;
+        # numpy, the driver and the validation suite load when a command
+        # computes
+        heavy = ("numpy", "dfrc.driver", "dfrc.validation")
+        steps = [
+            "import dfrc",
+            "from dfrc.cli import main\n"
+            "assert main(['print-config', '--config', 'table1']) == 0",
+            "from dfrc.cli import main\n"
+            "assert main(['converge', '--config', 'table1', '--set',"
+            " 'alpha=2', '--out', 'unused']) == 2"]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+            str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+        for step in steps:
+            script = (f"import sys\n{step}\n"
+                      f"print([m for m in {heavy!r} if m in sys.modules])")
+            out = subprocess.run([sys.executable, "-c", script],
+                                 capture_output=True, text=True, env=env,
+                                 timeout=60)
+            assert out.returncode == 0, out.stderr
+            assert out.stdout.splitlines()[-1] == "[]", step
+
+
 class TestValidateCommands:
+    # the CLI looks the suites up in dfrc.validation when the command runs
     def test_validate_gradient_passes(self, capsys, monkeypatch):
-        from dfrc import validation
-        monkeypatch.setattr(
-            cli, "gradient_checks",
-            lambda: validation.gradient_checks(num_instances=10))
+        checks = validation.gradient_checks
+        monkeypatch.setattr(validation, "gradient_checks",
+                            lambda: checks(num_instances=10))
         assert run_cli("validate-gradient") == 0
         assert "PASS" in capsys.readouterr().out
 
     def test_validate_gradient_catches_conjugate_bug(self, capsys,
                                                      monkeypatch):
-        from dfrc import validation
         from dfrc.manifold import euclidean_gradient
 
         def corrupted(theta, bundle):
             return euclidean_gradient(theta, bundle).conj()
 
+        checks = validation.gradient_checks
         monkeypatch.setattr(
-            cli, "gradient_checks",
-            lambda: validation.gradient_checks(num_instances=5,
-                                               gradient_fn=corrupted))
+            validation, "gradient_checks",
+            lambda: checks(num_instances=5, gradient_fn=corrupted))
         assert run_cli("validate-gradient") == 1
         captured = capsys.readouterr()
         assert "gradient_vs_finite_difference" in captured.err
 
     def test_validate_solver_passes(self, capsys, monkeypatch):
-        from dfrc import validation
-        monkeypatch.setattr(cli, "solver_checks",
-                            lambda: validation.solver_checks(
-                                num_samples=5000))
+        checks = validation.solver_checks
+        monkeypatch.setattr(validation, "solver_checks",
+                            lambda: checks(num_samples=5000))
         assert run_cli("validate-solver") == 0
         out = capsys.readouterr().out
         assert "sampled_oracle_gap" in out
