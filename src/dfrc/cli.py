@@ -8,10 +8,11 @@ print-config and config errors load no numpy.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from .config import ConfigError, format_config, parse_config
 
@@ -146,5 +147,20 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
+def run() -> NoReturn:
+    """Process entry of the ``dfrc`` command: run ``main`` and exit with
+    its code.
+
+    Everything alive when ``main`` returns dies with the process, so it
+    is moved into the collector's permanent generation first: interpreter
+    shutdown then neither walks nor frees numpy's import graph, while
+    stream flushing and ``atexit`` still run.  ``main`` itself leaves the
+    collector alone, for callers that stay in the process.
+    """
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

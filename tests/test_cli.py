@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import json
 import math
@@ -131,6 +132,13 @@ class TestParseConfig:
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def src_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports dfrc from this
+    checkout."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
 
 
 FAST = ["--set", "m=2", "--set", "n_x=2", "--set", "n_y=2",
@@ -332,8 +340,7 @@ class TestStartUp:
             "from dfrc.cli import main\n"
             "assert main(['converge', '--config', 'table1', '--set',"
             " 'alpha=2', '--out', 'unused']) == 2"]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
-            str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+        env = src_env()
         for step in steps:
             script = (f"import sys\n{step}\n"
                       f"print([m for m in {heavy!r} if m in sys.modules])")
@@ -342,6 +349,51 @@ class TestStartUp:
                                  timeout=60)
             assert out.returncode == 0, out.stderr
             assert out.stdout.splitlines()[-1] == "[]", step
+
+
+class TestProcessEntry:
+    # `python -m dfrc.cli` and the installed `dfrc` script exit through
+    # cli.run, which freezes the collector's heap after main returns
+    def test_module_entry_matches_in_process_run(self, tmp_path):
+        args = ["converge", "--config", "table1", *FAST]
+        out = tmp_path / "process"
+        proc = subprocess.run(
+            [sys.executable, "-m", "dfrc.cli", *args, "--out", str(out)],
+            capture_output=True, text=True, env=src_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            str(out / "converge_alpha_0.5.csv"), str(out / "manifest.json")]
+        reference = tmp_path / "in_process"
+        assert run_cli(*args, "--out", str(reference)) == 0
+        csvs = sorted(p.name for p in reference.glob("*.csv"))
+        assert csvs == sorted(p.name for p in out.glob("*.csv"))
+        for name in csvs:
+            assert (out / name).read_bytes() == (reference / name).read_bytes()
+
+    def test_main_leaves_the_collector_alone(self, tmp_path):
+        before = (gc.get_freeze_count(), gc.isenabled())
+        assert run_cli("converge", "--config", "table1", *FAST,
+                       "--out", str(tmp_path)) == 0
+        assert run_cli("print-config", "--config", "table1") == 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    def test_run_exits_with_main_code_after_atexit(self):
+        script = (
+            "import atexit, gc, sys\n"
+            "from dfrc import cli\n"
+            "atexit.register(lambda: print('frozen',"
+            " gc.get_freeze_count() > 0))\n"
+            "sys.argv = ['dfrc', 'converge', '--config', 'table1',"
+            " '--set', 'alpha=2', '--out', 'unused']\n"
+            "cli.run()\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=src_env(),
+                              timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: ")
+        assert proc.stdout == "frozen True\n"
+        pyproject = (ROOT / "pyproject.toml").read_text()
+        assert 'dfrc = "dfrc.cli:run"' in pyproject.splitlines()
 
 
 class TestValidateCommands:
