@@ -1,8 +1,8 @@
 """Joint radar precoder and IRS phase-shift design.
 
-Alternates a projected-gradient solve of the transmit covariance with
-Riemannian gradient ascent of the unit-modulus IRS phase vector to
-maximize a weighted sum of radar and communication receiver SNRs.
+Alternates an exact solve for the transmit covariance with Riemannian
+gradient ascent of the unit-modulus IRS phase vector to maximize a
+weighted sum of radar and communication receiver SNRs.
 
 Only the config layer is imported here, so ``import dfrc`` loads no
 numpy; the runners live in ``dfrc.driver``.

@@ -342,11 +342,11 @@ def _validate(values: dict[str, object]) -> None:
 
 
 def load_r_d(path: str, p0: float, m: int) -> ComplexArray:
-    """Desired covariance from a .npy file, which must be m x m with
-    trace p0."""
+    """Desired covariance from a .npy file: an m x m Hermitian PSD matrix
+    with trace p0, which the covariance solve needs."""
     import numpy as np
 
-    from .precoder import trace_matches
+    from .precoder import _CERTIFY_RTOL, trace_matches
     try:
         r_d = np.load(path)
     except (OSError, ValueError, EOFError) as exc:
@@ -361,6 +361,14 @@ def load_r_d(path: str, p0: float, m: int) -> ComplexArray:
         raise BadValueError(
             f"r_d_path matrix has trace {np.trace(r_d).real:.6g}, "
             f"but p0 is {p0:.6g}")
+    # Hermitian and PSD to the covariance solve's certificate tolerance
+    tol = _CERTIFY_RTOL * max(1.0, p0)
+    if np.linalg.norm(r_d - r_d.conj().T) > tol:
+        raise BadValueError(f"r_d_path = {path!r}: matrix is not Hermitian")
+    min_eig = float(np.linalg.eigvalsh(r_d)[0])
+    if min_eig < -tol:
+        raise BadValueError(f"r_d_path = {path!r}: matrix is not PSD "
+                            f"(smallest eigenvalue {min_eig:.3g})")
     return r_d
 
 

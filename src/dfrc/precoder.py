@@ -1,36 +1,33 @@
 """Transmit covariance design under power and beampattern-ball constraints.
 
 The sub-problem is linear in R_w = W W^H: maximize tr(R_w C) subject to
-R_w PSD, tr(R_w) = P0 and ||R_w - R_d||_F <= gamma_bp.  It is solved with
-projected gradient ascent from the closed-form optimum without the PSD
-constraint; the projection onto the three-set intersection uses Dykstra's
-alternating-projection algorithm.
+R_w in K = {PSD, tr = P0} and ||R_w - R_d||_F <= gamma_bp, with R_d in K.
+It is solved exactly by dualising only the ball (Boyd & Vandenberghe,
+*Convex Optimization*, ch. 5): for the multiplier 1/s the maximizer over K
+is R(s) = Pi_K(R_d + s C), one eigendecomposition and a simplex projection.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import BeampatternSpec, ComplexArray
 
-_MAX_DYKSTRA_CYCLES = 1000
-_MAX_PG_ITER = 5000
-_STEP_TOL = 1e-10        # relative to max(1, power)
-_PROJECTION_TOL = 1e-12  # relative to max(1, power)
-_TRACE_RTOL = 1e-6       # tr(R_d) vs power, relative to max(1, |power|)
+_TRACE_RTOL = 1e-6     # tr(R_d) vs power, relative to max(1, |power|)
+_FIXED_RTOL = 1e-12    # Pi_K(R_0) = R_0 up to round-off, rel. max(1, power)
+_TIE_RTOL = 1e-6       # eigenvalues of C tied with the largest, rel. ||C||_F
+_CERTIFY_RTOL = 1e-9   # feasibility residuals, relative to max(1, power)
 
 
 class InfeasibleSpecError(ValueError):
-    """Desired covariance trace disagrees with the power budget."""
+    """Desired covariance outside {PSD, tr = power}: its trace disagrees
+    with the budget, or no covariance in its ball passes the certificate."""
 
 
 class NotPSDError(ValueError):
     """Matrix square root requested for a significantly indefinite matrix."""
-
-
-class NoConvergenceError(RuntimeError):
-    """Dykstra projection failed to reach the feasibility tolerance."""
 
 
 @dataclass(frozen=True)
@@ -63,29 +60,6 @@ def matrix_sqrt(r_w: ComplexArray) -> ComplexArray:
     return (eigvecs * root) @ eigvecs.conj().T
 
 
-def _project_psd(x: ComplexArray) -> ComplexArray:
-    eigvals, eigvecs = np.linalg.eigh(hermitize(x))
-    if eigvals[0] >= 0:
-        return hermitize(x)
-    return (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.conj().T
-
-
-def _project_trace(x: ComplexArray, power: float) -> ComplexArray:
-    m = x.shape[0]
-    shift = (np.trace(x).real - power) / m
-    return x - shift * np.eye(m)
-
-
-def _project_ball(x: ComplexArray, spec: BeampatternSpec) -> ComplexArray:
-    delta = x - spec.r_d
-    dist = np.linalg.norm(delta, "fro")
-    if dist <= spec.gamma_bp:
-        return x
-    if spec.gamma_bp == 0.0 or dist == 0.0:
-        return spec.r_d.copy()
-    return spec.r_d + (spec.gamma_bp / dist) * delta
-
-
 def _feasibility_residuals(x: ComplexArray, power: float,
                            spec: BeampatternSpec) -> tuple[float, float, float]:
     eigvals = np.linalg.eigvalsh(hermitize(x))
@@ -95,37 +69,55 @@ def _feasibility_residuals(x: ComplexArray, power: float,
     return psd, trace, ball
 
 
-def project_feasible(x: ComplexArray, power: float, spec: BeampatternSpec,
-                     tol: float = 1e-8) -> ComplexArray:
-    """Dykstra projection onto {PSD} & {tr = power} & {Frobenius ball}."""
-    x = hermitize(x)
-    projections = (_project_psd,
-                   lambda y: _project_trace(y, power),
-                   lambda y: _project_ball(y, spec))
-    increments = [np.zeros_like(x) for _ in projections]
-    for _ in range(_MAX_DYKSTRA_CYCLES):
-        for k, proj in enumerate(projections):
-            y = proj(x + increments[k])
-            increments[k] = x + increments[k] - y
-            x = y
-        if max(_feasibility_residuals(x, power, spec)) < tol:
-            return x
-    raise NoConvergenceError(
-        f"feasibility residual above {tol:.1e} after "
-        f"{_MAX_DYKSTRA_CYCLES} cycles")
+def project_feasible(x: ComplexArray, power: float) -> ComplexArray:
+    """Frobenius projection of Hermitian x onto K = {PSD, tr = power}.
+
+    The eigenvalues go to the simplex {lambda >= 0, sum = power}: the k
+    largest are moved to mean power/k and the rest clipped at zero, with k
+    counted by the sort-based test (Duchi et al., ICML 2008).  Taking the
+    mean first keeps the trace when |x| >> power/eps.
+    """
+    eigvals, eigvecs = np.linalg.eigh(hermitize(x))
+    desc = eigvals[::-1]
+    counts = np.arange(1, desc.size + 1)
+    means = np.cumsum(desc) / counts
+    k = int(np.count_nonzero(desc - means + power / counts > 0))
+    lam = np.clip(eigvals - means[k - 1] + power / k, 0.0, None)
+    return (eigvecs * lam) @ eigvecs.conj().T
+
+
+def _ball_boundary(c: ComplexArray, power: float, spec: BeampatternSpec,
+                   s: float, r: ComplexArray) -> ComplexArray:
+    """R(s') for the largest s' >= s with R(s') in the ball, to the last
+    bit of s', given r = R(s) in the ball.  ||R(s') - R_d||_F grows with
+    s' (the projection-arc lemma, Bertsekas, *Nonlinear Programming*), so
+    doubling brackets the boundary and bisection closes on it."""
+    lo, hi = s, math.inf
+    while hi - lo > math.ulp(lo):
+        mid = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
+        r_mid = project_feasible(spec.r_d + mid * c, power)
+        if np.linalg.norm(r_mid - spec.r_d, "fro") <= spec.gamma_bp:
+            lo, r = mid, r_mid
+        else:
+            hi = mid
+    return r
 
 
 def solve_covariance(c: ComplexArray, power: float,
                      spec: BeampatternSpec) -> PrecoderCovariance:
-    """Maximize tr(R_w C) over the feasible covariance set.
+    """Maximize tr(R_w C) over the feasible covariance set, exactly.
 
-    Ascent starts at the optimum without the PSD constraint,
-    R_d + gamma_bp C0/||C0||_F with C0 the traceless part of C, which is
-    exact whenever it is PSD.  The objective is linear, so projected
-    gradient ascent with any step is monotone under exact projections; the
-    step power/||C||_F keeps the trajectory invariant under joint
-    (power, R_d, gamma_bp) rescaling, which preserves the degree-2
-    homogeneity of the SNRs.
+    The first of these that applies is the optimum, with s0 = gamma_bp /
+    ||C0||_F and C0 = C - (tr C/M) I:
+    1. R_0 = R_d + s0 C0, the optimum without the PSD constraint, if it is
+       in K, i.e. Pi_K(R_0) = R(s0) is R_0;
+    2. the ball does not bind: the point U Pi_K(U^H R_d U) U^H nearest R_d
+       of the face of K that maximizes tr(R C), U spanning the eigenvectors
+       of C tied with the largest, if it is in the ball;
+    3. R(s) on the ball's boundary, searched from s0 upwards.
+    In exact arithmetic each commutes with a joint rescaling of (power,
+    R_d, gamma_bp), which keeps the SNRs homogeneous of degree 2.  The
+    result is certified feasible before W is formed.
     """
     if power <= 0:
         raise ValueError("power budget must be positive")
@@ -134,20 +126,27 @@ def solve_covariance(c: ComplexArray, power: float,
             f"tr(R_d) = {float(np.trace(spec.r_d).real):.6g} does not match "
             f"the budget {power:.6g}")
     c = hermitize(c)
-    c_norm = float(np.linalg.norm(c, "fro"))
-    step = power / c_norm if c_norm > 0 else 1.0
-    scale = max(1.0, power)
     m = c.shape[0]
+    scale = max(1.0, power)
     c0 = c - (np.trace(c).real / m) * np.eye(m)
     c0_norm = float(np.linalg.norm(c0, "fro"))
-    r = spec.r_d + (spec.gamma_bp / c0_norm) * c0 if c0_norm > 0 \
-        else spec.r_d.copy()
-    for _ in range(_MAX_PG_ITER):
-        r_new = project_feasible(r + step * c, power, spec,
-                                 tol=_PROJECTION_TOL * scale)
-        if np.linalg.norm(r_new - r, "fro") < _STEP_TOL * scale:
-            r = r_new
-            break
-        r = r_new
+    s0 = spec.gamma_bp / c0_norm if c0_norm > 0 else 0.0
+    r0 = spec.r_d + s0 * c0
+    r = project_feasible(r0, power)
+    if np.linalg.norm(r - r0, "fro") > _FIXED_RTOL * scale:
+        eigvals, eigvecs = np.linalg.eigh(c)
+        tied = eigvals >= eigvals[-1] - _TIE_RTOL * np.linalg.norm(c, "fro")
+        u = eigvecs[:, tied]
+        face = u @ project_feasible(u.conj().T @ spec.r_d @ u, power) \
+            @ u.conj().T
+        if np.linalg.norm(face - spec.r_d, "fro") <= spec.gamma_bp:
+            r = face
+        elif s0 > 0:
+            r = _ball_boundary(c, power, spec, s0, r)
+    psd, trace, ball = _feasibility_residuals(r, power, spec)
+    if max(psd, trace, ball) > _CERTIFY_RTOL * scale:
+        raise InfeasibleSpecError(
+            f"no covariance in the ball of R_d passes the certificate "
+            f"(residuals: PSD {psd:.3e}, trace {trace:.3e}, ball {ball:.3e})")
     objective = float(np.real(np.trace(r @ c)))
     return PrecoderCovariance(r_w=r, w=matrix_sqrt(r), objective=objective)

@@ -314,6 +314,20 @@ class TestCommands:
                        "--out", str(tmp_path / "run")) == 2
         assert "r_d_path" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("r_d, why", [
+        ([[5.0, 1.0], [0.0, 5.0]], "not Hermitian"),
+        ([[12.0, 0.0], [0.0, -2.0]], "not PSD")],
+        ids=["non-hermitian", "indefinite"])
+    def test_r_d_outside_psd_cone_is_config_error(self, r_d, why, tmp_path,
+                                                  capsys):
+        path = tmp_path / "r_d.npy"
+        np.save(path, np.array(r_d))  # trace matches FAST's p0=10
+        assert run_cli("converge", "--config", "table1", *FAST,
+                       "--set", f"r_d_path={path}",
+                       "--out", str(tmp_path / "run")) == 2
+        err = capsys.readouterr().err
+        assert "r_d_path" in err and why in err
+
     def test_sweep_rejects_r_d_path(self, tmp_path, capsys):
         path = tmp_path / "r_d.npy"
         np.save(path, 5.0 * np.eye(2))  # trace matches FAST's p0=10

@@ -3,7 +3,7 @@ import pytest
 
 from dfrc import precoder
 from dfrc.channel import (composite_comm_channel, composite_radar_channel,
-                          synthesize_channels, upa_steering)
+                          synthesize_channels, ula_steering, upa_steering)
 from dfrc.config import parse_config
 from dfrc.objective import build_C
 from dfrc.precoder import (BeampatternSpec, InfeasibleSpecError, NotPSDError,
@@ -20,6 +20,58 @@ def random_hermitian(rng, m):
 def random_psd(rng, m):
     z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     return z @ z.conj().T
+
+
+def reference_projection(x, power):
+    """Pi_K by bisection on the eigenvalue threshold, independent of the
+    sort-based rule in project_feasible."""
+    lam, vecs = np.linalg.eigh(hermitize(x))
+    lo, hi = lam[0] - power / lam.size, lam[-1]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if np.clip(lam - mid, 0.0, None).sum() > power:
+            lo = mid
+        else:
+            hi = mid
+    return (vecs * np.clip(lam - 0.5 * (lo + hi), 0.0, None)) @ vecs.conj().T
+
+
+def dual_bound(c, power, spec):
+    """min over mu >= 0 of the Lagrangian dual g(mu) of the ball, which is
+    at least the optimum (weak duality).
+
+    g(mu) = max_K tr(RC) - (mu/2)(||R - R_d||^2 - gamma^2), attained at
+    R = Pi_K(R_d + C/mu); g(0) = power * lambda_max(C).  g is convex in mu,
+    so a golden-section search over log mu finds its minimum.  The search
+    keeps ||C||/mu below 1e3 power, where the projection is still accurate
+    to about 1e-12 of the objective.
+    """
+    c = hermitize(c)
+
+    def g(log_mu):
+        mu = np.exp(log_mu)
+        r = reference_projection(spec.r_d + c / mu, power)
+        dist_sq = np.linalg.norm(r - spec.r_d, "fro") ** 2
+        return float(np.real(np.trace(r @ c))) \
+            - 0.5 * mu * (dist_sq - spec.gamma_bp ** 2)
+
+    m = c.shape[0]
+    c0 = c - (np.trace(c).real / m) * np.eye(m)
+    lo = np.log(np.linalg.norm(c, "fro") / (1e3 * power))
+    hi = max(lo, np.log(np.linalg.norm(c0, "fro") / spec.gamma_bp)) + 5.0
+    ratio = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+    ga, gb = g(a), g(b)
+    for _ in range(60):
+        if ga <= gb:
+            hi, b, gb = b, a, ga
+            a = hi - ratio * (hi - lo)
+            ga = g(a)
+        else:
+            lo, a, ga = a, b, gb
+            b = lo + ratio * (hi - lo)
+            gb = g(b)
+    return min(ga, gb, power * float(np.linalg.eigvalsh(c)[-1]))
 
 
 @pytest.fixture
@@ -74,12 +126,12 @@ class TestMatrixSqrt:
 class TestProjectFeasible:
     def test_feasible_point_is_fixed(self):
         spec = omni_spec(4.0, 2, 1.0)
-        out = project_feasible(spec.r_d.copy(), 4.0, spec)
+        out = project_feasible(spec.r_d.copy(), 4.0)
         assert np.linalg.norm(out - spec.r_d, "fro") < 1e-10
 
     def test_trace_restored(self):
         spec = omni_spec(4.0, 2, 1.0)
-        out = project_feasible(spec.r_d + 0.1 * np.eye(2), 4.0, spec)
+        out = project_feasible(spec.r_d + 0.1 * np.eye(2), 4.0)
         assert abs(np.trace(out).real - 4.0) < 1e-10
 
     def test_random_hermitian_all_residuals(self):
@@ -87,14 +139,18 @@ class TestProjectFeasible:
         spec = omni_spec(3.0, 3, 0.7)
         for _ in range(20):
             x = random_hermitian(rng, 3)
-            out = project_feasible(x, 3.0, spec)
-            assert max(_feasibility_residuals(out, 3.0, spec)) < 1e-8
+            out = project_feasible(x, 3.0)
+            psd, trace, _ = _feasibility_residuals(out, 3.0, spec)
+            assert max(psd, trace) < 1e-8
+            assert np.linalg.norm(out - reference_projection(x, 3.0),
+                                  "fro") < 1e-10
 
-    def test_point_ball(self):
-        spec = omni_spec(2.0, 2, 0.0)
-        x = random_hermitian(np.random.default_rng(3), 2)
-        out = project_feasible(x, 2.0, spec)
-        np.testing.assert_allclose(out, spec.r_d, atol=1e-8)
+    def test_keeps_trace_far_beyond_power(self):
+        # at |x| >> power/eps, eigenvalue minus threshold cancels to
+        # round-off; the top eigenvalue must still take the whole budget
+        x = 1e20 * np.diag([0.5, 1.0]).astype(complex)
+        out = project_feasible(x, 1.0)
+        np.testing.assert_allclose(out, np.diag([0.0, 1.0]), atol=1e-12)
 
 
 class TestSolveCovariance:
@@ -151,20 +207,6 @@ class TestSolveCovariance:
         scaled = solve_covariance(3.0 * c, 2.0, spec).objective
         assert scaled == pytest.approx(3.0 * base, rel=1e-9)
 
-    def test_monotone_iterates(self):
-        # replay the projected-gradient loop and audit the trajectory
-        rng = np.random.default_rng(9)
-        spec = omni_spec(2.0, 2, 0.7)
-        c = hermitize(random_psd(rng, 2))
-        step = 2.0 / np.linalg.norm(c, "fro")
-        r = spec.r_d.copy()
-        prev = float(np.real(np.trace(r @ c)))
-        for _ in range(200):
-            r = project_feasible(r + step * c, 2.0, spec, tol=1e-13)
-            obj = float(np.real(np.trace(r @ c)))
-            assert obj >= prev - 1e-10 * max(1.0, abs(prev))
-            prev = obj
-
     def test_solution_feasibility_invariants(self):
         rng = np.random.default_rng(10)
         spec = omni_spec(5.0, 3, 1.2)
@@ -214,3 +256,68 @@ class TestSolveCovariance:
         spec = BeampatternSpec(r_d=np.eye(2, dtype=complex), gamma_bp=1.0)
         with pytest.raises(InfeasibleSpecError):
             solve_covariance(np.eye(2, dtype=complex), 5.0, spec)
+
+    def test_pure_beam_r_d_on_table1(self):
+        # a pure beam toward the target, R_d = (P0/M) a a^H, has rank one
+        # and lies on the boundary of the PSD cone
+        cfg = parse_config("table1")
+        channels = synthesize_channels(cfg)
+        theta = np.ones(cfg.geometry.num_irs_elements, dtype=complex)
+        c = build_C(composite_radar_channel(channels, theta,
+                                            upa_steering(cfg.geometry)),
+                    composite_comm_channel(channels, theta), cfg.weights)
+        g = cfg.geometry
+        a = ula_steering(g.num_radar_antennas, g.radar_spacing,
+                         g.target_azimuth)
+        spec = BeampatternSpec(
+            r_d=(cfg.p0 / cfg.m) * np.outer(a, a.conj()),
+            gamma_bp=cfg.gamma_bp)
+        sol = solve_covariance(c, cfg.p0, spec)
+        assert max(_feasibility_residuals(sol.r_w, cfg.p0, spec)) \
+            <= 1e-9 * cfg.p0
+        assert dual_bound(c, cfg.p0, spec) - sol.objective \
+            <= 1e-9 * abs(sol.objective)
+
+    def test_tied_top_eigenvalues(self):
+        # the ball does not bind, but P0 v1 v1^H for a single top
+        # eigenvector lies outside it: the optimum spreads over both
+        c = np.diag([1.0, 1.0, 0.0]).astype(complex)
+        spec = BeampatternSpec(r_d=np.eye(3, dtype=complex), gamma_bp=2.0)
+        sol = solve_covariance(c, 3.0, spec)
+        np.testing.assert_allclose(sol.r_w, np.diag([1.5, 1.5, 0.0]),
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["isotropic", "steered", "rank_one",
+                                      "random"])
+    def test_weak_duality_oracle(self, kind):
+        rng = np.random.default_rng(13)
+        for m in range(2, 13):
+            power = float(10 ** rng.uniform(-2, 4))
+            a = np.exp(2j * np.pi * 0.5 * np.arange(m)
+                       * np.sin(rng.uniform(-np.pi / 2, np.pi / 2)))
+            if kind == "isotropic":
+                r_d = np.eye(m, dtype=complex)
+            elif kind == "steered":
+                r_d = np.eye(m) + np.outer(a, a.conj())
+            elif kind == "rank_one":
+                r_d = np.outer(a, a.conj())
+            else:
+                r_d = random_psd(rng, m)
+            spec = BeampatternSpec(
+                r_d=power * r_d / np.trace(r_d).real,
+                gamma_bp=power * float(10 ** rng.uniform(-3, 0.4)))
+            # top eigenvalue simple, exactly repeated, or tied to 1e-12
+            q, _ = np.linalg.qr(rng.standard_normal((m, m))
+                                + 1j * rng.standard_normal((m, m)))
+            lam = rng.uniform(0.0, 1.0, m)
+            lam[-1] = 1.5
+            if m % 3 == 1:
+                lam[0] = 1.5
+            elif m % 3 == 2:
+                lam[0] = 1.5 * (1.0 - 1e-12)
+            c = (q * lam) @ q.conj().T
+            sol = solve_covariance(c, power, spec)
+            assert max(_feasibility_residuals(sol.r_w, power, spec)) \
+                <= 1e-9 * max(1.0, power)
+            assert dual_bound(c, power, spec) - sol.objective \
+                <= 1e-9 * abs(sol.objective)
