@@ -23,6 +23,9 @@ if TYPE_CHECKING:
 # A string, so that resolving a config loads neither numpy nor numpy.typing
 ComplexArray: TypeAlias = "NDArray[np.complexfloating]"
 
+_TRACE_RTOL = 1e-6     # tr(R_d) vs power, relative to max(1, |power|)
+_CERTIFY_RTOL = 1e-9   # feasibility residuals, relative to max(1, power)
+
 
 class ConfigError(ValueError):
     """Base class for configuration problems (CLI exit code 2)."""
@@ -341,12 +344,16 @@ def _validate(values: dict[str, object]) -> None:
             bad(key, "entries must be >= 1")
 
 
+def trace_matches(r_d: ComplexArray, power: float) -> bool:
+    """Whether tr(R_d) equals the power budget to the solver's tolerance."""
+    trace_rd = float(r_d.trace().real)
+    return abs(trace_rd - power) <= _TRACE_RTOL * max(1.0, abs(power))
+
+
 def load_r_d(path: str, p0: float, m: int) -> ComplexArray:
     """Desired covariance from a .npy file: an m x m Hermitian PSD matrix
     with trace p0, which the covariance solve needs."""
     import numpy as np
-
-    from .precoder import _CERTIFY_RTOL, trace_matches
     try:
         r_d = np.load(path)
     except (OSError, ValueError, EOFError) as exc:

@@ -82,24 +82,3 @@ def ascent_step(theta: ComplexArray, bundle: ObjectiveBundle, kappa: float,
             pass  # theta_i + t g_i hit zero: reject it like a falling step
         kappa *= 2.0
     return theta, _KAPPA_CAP
-
-
-def finite_difference_gradient(theta: ComplexArray, bundle: ObjectiveBundle,
-                               h: float) -> ComplexArray:
-    """Central-difference gradient over the 2N real coordinates.
-
-    Returns df/dRe + j*df/dIm, which matches euclidean_gradient under the
-    grad f = 2 df/d(conj theta) convention.
-    """
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    n = theta.shape[0]
-    grad = np.zeros(n, dtype=complex)
-    for i in range(n):
-        for unit in (1.0, 1.0j):
-            bump = np.zeros(n, dtype=complex)
-            bump[i] = unit * h
-            df = (eval_f1(theta + bump, bundle)
-                  - eval_f1(theta - bump, bundle)) / (2.0 * h)
-            grad[i] += df * unit
-    return grad

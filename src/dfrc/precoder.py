@@ -5,6 +5,7 @@ R_w in K = {PSD, tr = P0} and ||R_w - R_d||_F <= gamma_bp, with R_d in K.
 It is solved exactly by dualising only the ball (Boyd & Vandenberghe,
 *Convex Optimization*, ch. 5): for the multiplier 1/s the maximizer over K
 is R(s) = Pi_K(R_d + s C), one eigendecomposition and a simplex projection.
+W = R_w^(1/2) is formed from the eigenpairs of the projection that gave R_w.
 """
 from __future__ import annotations
 
@@ -13,21 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import BeampatternSpec, ComplexArray
+from .config import _CERTIFY_RTOL, BeampatternSpec, ComplexArray, \
+    trace_matches
 
-_TRACE_RTOL = 1e-6     # tr(R_d) vs power, relative to max(1, |power|)
 _FIXED_RTOL = 1e-12    # Pi_K(R_0) = R_0 up to round-off, rel. max(1, power)
 _TIE_RTOL = 1e-6       # eigenvalues of C tied with the largest, rel. ||C||_F
-_CERTIFY_RTOL = 1e-9   # feasibility residuals, relative to max(1, power)
+Eigenpairs = tuple[np.ndarray, ComplexArray]  # lambda >= 0, orthonormal V
 
 
 class InfeasibleSpecError(ValueError):
     """Desired covariance outside {PSD, tr = power}: its trace disagrees
     with the budget, or no covariance in its ball passes the certificate."""
-
-
-class NotPSDError(ValueError):
-    """Matrix square root requested for a significantly indefinite matrix."""
 
 
 @dataclass(frozen=True)
@@ -39,25 +36,17 @@ class PrecoderCovariance:
     objective: float
 
 
-def trace_matches(r_d: ComplexArray, power: float) -> bool:
-    """Whether tr(R_d) equals the power budget to the solver's tolerance."""
-    trace_rd = float(np.trace(r_d).real)
-    return abs(trace_rd - power) <= _TRACE_RTOL * max(1.0, abs(power))
-
-
 def hermitize(x: ComplexArray) -> ComplexArray:
     return 0.5 * (x + x.conj().T)
 
 
-def matrix_sqrt(r_w: ComplexArray) -> ComplexArray:
-    """Unique Hermitian PSD square root via eigendecomposition."""
-    r_w = hermitize(r_w)
-    eigvals, eigvecs = np.linalg.eigh(r_w)
-    scale = max(eigvals[-1], 0.0)
-    if eigvals[0] < -1e-6 * max(scale, 1e-300):
-        raise NotPSDError(f"matrix is indefinite (min eig {eigvals[0]:.3e})")
-    root = np.sqrt(np.clip(eigvals, 0.0, None))
-    return (eigvecs * root) @ eigvecs.conj().T
+def _covariance(eigvals: np.ndarray, eigvecs: ComplexArray) -> ComplexArray:
+    return (eigvecs * eigvals) @ eigvecs.conj().T
+
+
+def matrix_sqrt(eigvals: np.ndarray, eigvecs: ComplexArray) -> ComplexArray:
+    """Hermitian PSD square root V diag(sqrt(lambda)) V^H of a covariance."""
+    return _covariance(np.sqrt(eigvals), eigvecs)
 
 
 def _feasibility_residuals(x: ComplexArray, power: float,
@@ -69,8 +58,9 @@ def _feasibility_residuals(x: ComplexArray, power: float,
     return psd, trace, ball
 
 
-def project_feasible(x: ComplexArray, power: float) -> ComplexArray:
-    """Frobenius projection of Hermitian x onto K = {PSD, tr = power}.
+def project_feasible(x: ComplexArray, power: float) -> Eigenpairs:
+    """Eigenpairs of the Frobenius projection of Hermitian x onto
+    K = {PSD, tr = power}.
 
     The eigenvalues go to the simplex {lambda >= 0, sum = power}: the k
     largest are moved to mean power/k and the rest clipped at zero, with k
@@ -82,25 +72,25 @@ def project_feasible(x: ComplexArray, power: float) -> ComplexArray:
     counts = np.arange(1, desc.size + 1)
     means = np.cumsum(desc) / counts
     k = int(np.count_nonzero(desc - means + power / counts > 0))
-    lam = np.clip(eigvals - means[k - 1] + power / k, 0.0, None)
-    return (eigvecs * lam) @ eigvecs.conj().T
+    return np.clip(eigvals - means[k - 1] + power / k, 0.0, None), eigvecs
 
 
 def _ball_boundary(c: ComplexArray, power: float, spec: BeampatternSpec,
-                   s: float, r: ComplexArray) -> ComplexArray:
-    """R(s') for the largest s' >= s with R(s') in the ball, to the last
-    bit of s', given r = R(s) in the ball.  ||R(s') - R_d||_F grows with
-    s' (the projection-arc lemma, Bertsekas, *Nonlinear Programming*), so
+                   s: float, eig: Eigenpairs) -> Eigenpairs:
+    """Eigenpairs of R(s') for the largest s' >= s in the ball, to the last
+    bit of s', given those of R(s) in it.  ||R(s') - R_d||_F grows with s'
+    (the projection-arc lemma, Bertsekas, *Nonlinear Programming*), so
     doubling brackets the boundary and bisection closes on it."""
     lo, hi = s, math.inf
     while hi - lo > math.ulp(lo):
         mid = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
-        r_mid = project_feasible(spec.r_d + mid * c, power)
-        if np.linalg.norm(r_mid - spec.r_d, "fro") <= spec.gamma_bp:
-            lo, r = mid, r_mid
+        eig_mid = project_feasible(spec.r_d + mid * c, power)
+        if np.linalg.norm(_covariance(*eig_mid) - spec.r_d, "fro") \
+                <= spec.gamma_bp:
+            lo, eig = mid, eig_mid
         else:
             hi = mid
-    return r
+    return eig
 
 
 def solve_covariance(c: ComplexArray, power: float,
@@ -117,7 +107,7 @@ def solve_covariance(c: ComplexArray, power: float,
     3. R(s) on the ball's boundary, searched from s0 upwards.
     In exact arithmetic each commutes with a joint rescaling of (power,
     R_d, gamma_bp), which keeps the SNRs homogeneous of degree 2.  The
-    result is certified feasible before W is formed.
+    result is certified feasible before W is formed from its eigenpairs.
     """
     if power <= 0:
         raise ValueError("power budget must be positive")
@@ -132,21 +122,24 @@ def solve_covariance(c: ComplexArray, power: float,
     c0_norm = float(np.linalg.norm(c0, "fro"))
     s0 = spec.gamma_bp / c0_norm if c0_norm > 0 else 0.0
     r0 = spec.r_d + s0 * c0
-    r = project_feasible(r0, power)
+    eig = project_feasible(r0, power)
+    r = _covariance(*eig)
     if np.linalg.norm(r - r0, "fro") > _FIXED_RTOL * scale:
         eigvals, eigvecs = np.linalg.eigh(c)
         tied = eigvals >= eigvals[-1] - _TIE_RTOL * np.linalg.norm(c, "fro")
         u = eigvecs[:, tied]
-        face = u @ project_feasible(u.conj().T @ spec.r_d @ u, power) \
-            @ u.conj().T
-        if np.linalg.norm(face - spec.r_d, "fro") <= spec.gamma_bp:
-            r = face
+        lam, vecs = project_feasible(u.conj().T @ spec.r_d @ u, power)
+        face = lam, u @ vecs
+        if np.linalg.norm(_covariance(*face) - spec.r_d, "fro") \
+                <= spec.gamma_bp:
+            eig = face
         elif s0 > 0:
-            r = _ball_boundary(c, power, spec, s0, r)
+            eig = _ball_boundary(c, power, spec, s0, eig)
+        r = _covariance(*eig)
     psd, trace, ball = _feasibility_residuals(r, power, spec)
     if max(psd, trace, ball) > _CERTIFY_RTOL * scale:
         raise InfeasibleSpecError(
             f"no covariance in the ball of R_d passes the certificate "
             f"(residuals: PSD {psd:.3e}, trace {trace:.3e}, ball {ball:.3e})")
     objective = float(np.real(np.trace(r @ c)))
-    return PrecoderCovariance(r_w=r, w=matrix_sqrt(r), objective=objective)
+    return PrecoderCovariance(r_w=r, w=matrix_sqrt(*eig), objective=objective)

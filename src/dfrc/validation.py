@@ -11,8 +11,8 @@ import numpy as np
 
 from .channel import ChannelSet, rayleigh_channel, upa_steering
 from .config import BeampatternSpec, DesignWeights, SystemGeometry
-from .manifold import euclidean_gradient, finite_difference_gradient
-from .objective import ObjectiveBundle, build_bundle
+from .manifold import euclidean_gradient
+from .objective import ObjectiveBundle, build_bundle, eval_f1
 from .precoder import _feasibility_residuals, solve_covariance
 
 
@@ -55,6 +55,27 @@ def random_bundle(rng: np.random.Generator, m: int, n: int,
                   k: int = 3) -> tuple[ObjectiveBundle, np.ndarray]:
     channels, a_irs, w, weights, theta = random_instance(rng, m, n, k)
     return build_bundle(channels, a_irs, w, weights), theta
+
+
+def finite_difference_gradient(theta: np.ndarray, bundle: ObjectiveBundle,
+                               h: float) -> np.ndarray:
+    """Central-difference gradient over the 2N real coordinates.
+
+    Returns df/dRe + j*df/dIm, which matches euclidean_gradient under the
+    grad f = 2 df/d(conj theta) convention.
+    """
+    if h <= 0:
+        raise ValueError("step h must be positive")
+    n = theta.shape[0]
+    grad = np.zeros(n, dtype=complex)
+    for i in range(n):
+        for unit in (1.0, 1.0j):
+            bump = np.zeros(n, dtype=complex)
+            bump[i] = unit * h
+            df = (eval_f1(theta + bump, bundle)
+                  - eval_f1(theta - bump, bundle)) / (2.0 * h)
+            grad[i] += df * unit
+    return grad
 
 
 def gradient_checks(num_instances: int = 50, h: float = 1e-6,

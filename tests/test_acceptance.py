@@ -15,12 +15,12 @@ from dfrc.channel import composite_comm_channel, composite_radar_channel, \
     upa_steering
 from dfrc.config import parse_config
 from dfrc.driver import CONVERGED, alternate, run_convergence_experiment
-from dfrc.manifold import (ascent_step, euclidean_gradient,
-                           finite_difference_gradient, project_tangent)
+from dfrc.manifold import ascent_step, euclidean_gradient, project_tangent
 from dfrc.objective import build_bundle, build_C, comm_snr, eval_f1, \
     radar_snr, weighted_objective
 from dfrc.precoder import BeampatternSpec, solve_covariance
-from dfrc.validation import random_bundle, random_instance, sample_feasible
+from dfrc.validation import (finite_difference_gradient, random_bundle,
+                             random_instance, sample_feasible)
 
 
 def report(name: str, passed: bool, detail: str) -> None:
@@ -133,16 +133,21 @@ def test_criterion_5_convergence_experiment():
                         for c in result.curves for t in c.traces)
     all_gained = all(t.final_objective > t.objectives[0]
                      for c in result.curves for t in c.traces)
-    iters = {c.param: sorted(t.iterations_to_converge for t in c.traces)
-             for c in result.curves}
-    median = {a: float(np.median(v)) for a, v in iters.items()}
+    # on table1 every alpha below 1 reaches the same SNRs in the same
+    # number of iterations, so the ordering is taken at eta = 0.01, where
+    # the radar and communication terms are comparable
+    balanced = run_convergence_experiment(parse_config("table1", [
+        "eta=0.01", "num_realizations=20", "alphas=0.1,0.9"]))
+    median = {c.param: float(np.median([t.iterations_to_converge
+                                        for t in c.traces]))
+              for c in balanced.curves}
     ordering = median[0.1] <= median[0.9]
     elapsed = time.perf_counter() - start
     report("criterion 5 (convergence experiment)",
            all_converged and all_gained and ordering and elapsed < 900.0,
            f"converged={all_converged}, gain in all runs={all_gained}, "
-           f"median iters alpha=0.1 {median[0.1]:.0f} <= alpha=0.9 "
-           f"{median[0.9]:.0f}, {elapsed:.0f}s (< 900s)")
+           f"median iters at eta=0.01 alpha=0.1 {median[0.1]:.1f} <= "
+           f"alpha=0.9 {median[0.9]:.1f}, {elapsed:.0f}s (< 900s)")
 
 
 def test_criterion_6_monotone_resource_scaling():

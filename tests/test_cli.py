@@ -364,6 +364,20 @@ class TestStartUp:
             assert out.returncode == 0, out.stderr
             assert out.stdout.splitlines()[-1] == "[]", step
 
+    def test_r_d_file_loads_no_solver(self, tmp_path):
+        # reading R_d needs numpy, but its checks live in the config layer
+        path = tmp_path / "r_d.npy"
+        np.save(path, 125.0 * np.eye(8))  # trace matches table1's p0=1000
+        script = ("import sys\n"
+                  "from dfrc.config import parse_config\n"
+                  f"parse_config('table1', ['r_d_path={path}'])\n"
+                  "print('dfrc.precoder' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", script],
+                             capture_output=True, text=True, env=src_env(),
+                             timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "False"
+
 
 class TestProcessEntry:
     # `python -m dfrc.cli` and the installed `dfrc` script exit through

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from dfrc.manifold import (ZeroElementError, ascent_step, euclidean_gradient,
-                           finite_difference_gradient, project_tangent,
-                           retract)
+                           project_tangent, retract)
 from dfrc.objective import ObjectiveBundle, eval_f1
-from dfrc.validation import random_bundle
+from dfrc.validation import finite_difference_gradient, random_bundle
 
 
 def comm_bundle(n, ac=0.0, h=None, fw=None):

@@ -6,7 +6,7 @@ from dfrc.channel import (composite_comm_channel, composite_radar_channel,
                           synthesize_channels, ula_steering, upa_steering)
 from dfrc.config import parse_config
 from dfrc.objective import build_C
-from dfrc.precoder import (BeampatternSpec, InfeasibleSpecError, NotPSDError,
+from dfrc.precoder import (BeampatternSpec, InfeasibleSpecError,
                            _feasibility_residuals, hermitize, matrix_sqrt,
                            project_feasible, solve_covariance)
 from dfrc.validation import sample_feasible
@@ -93,53 +93,59 @@ def omni_spec(power, m, gamma):
                            gamma_bp=gamma)
 
 
+def covariance(eigvals, eigvecs):
+    return (eigvecs * eigvals) @ eigvecs.conj().T
+
+
 class TestMatrixSqrt:
     def test_identity(self):
-        np.testing.assert_allclose(matrix_sqrt(np.eye(3, dtype=complex)),
-                                   np.eye(3))
+        np.testing.assert_allclose(
+            matrix_sqrt(np.ones(3), np.eye(3, dtype=complex)), np.eye(3))
 
     def test_diagonal(self):
-        w = matrix_sqrt(np.diag([4.0, 9.0]).astype(complex))
+        w = matrix_sqrt(np.array([4.0, 9.0]), np.eye(2, dtype=complex))
         np.testing.assert_allclose(w, np.diag([2.0, 3.0]), atol=1e-12)
 
     def test_reconstruction(self):
-        r = random_psd(np.random.default_rng(0), 5)
-        w = matrix_sqrt(r)
-        assert np.linalg.norm(w @ w.conj().T - r, "fro") \
-            < 1e-10 * np.linalg.norm(r, "fro")
+        # the projection of a random Hermitian matrix has clipped, zero
+        # eigenvalues: the root of a rank-deficient covariance
+        rng = np.random.default_rng(0)
+        for m in (1, 2, 5, 8):
+            lam, vecs = project_feasible(random_hermitian(rng, m), 3.0)
+            r, w = covariance(lam, vecs), matrix_sqrt(lam, vecs)
+            assert np.linalg.norm(w @ w.conj().T - r, "fro") \
+                < 1e-12 * np.linalg.norm(r, "fro")
 
     def test_hermitian_root(self):
         r = random_psd(np.random.default_rng(1), 4)
-        w = matrix_sqrt(r)
+        w = matrix_sqrt(*np.linalg.eigh(r))
         np.testing.assert_allclose(w, w.conj().T, atol=1e-10)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPSDError):
-            matrix_sqrt(np.diag([1.0, -0.5]).astype(complex))
-
-    def test_clips_tiny_negatives(self):
-        r = np.diag([1.0, -1e-9]).astype(complex)
-        w = matrix_sqrt(r)
-        assert w[1, 1] == 0.0
+        assert np.linalg.eigvalsh(w)[0] > 0.0
 
 
 class TestProjectFeasible:
     def test_feasible_point_is_fixed(self):
         spec = omni_spec(4.0, 2, 1.0)
-        out = project_feasible(spec.r_d.copy(), 4.0)
+        out = covariance(*project_feasible(spec.r_d.copy(), 4.0))
         assert np.linalg.norm(out - spec.r_d, "fro") < 1e-10
 
     def test_trace_restored(self):
         spec = omni_spec(4.0, 2, 1.0)
-        out = project_feasible(spec.r_d + 0.1 * np.eye(2), 4.0)
-        assert abs(np.trace(out).real - 4.0) < 1e-10
+        lam, vecs = project_feasible(spec.r_d + 0.1 * np.eye(2), 4.0)
+        assert abs(lam.sum() - 4.0) < 1e-10
+        assert abs(np.trace(covariance(lam, vecs)).real - 4.0) < 1e-10
 
     def test_random_hermitian_all_residuals(self):
         rng = np.random.default_rng(2)
         spec = omni_spec(3.0, 3, 0.7)
         for _ in range(20):
             x = random_hermitian(rng, 3)
-            out = project_feasible(x, 3.0)
+            lam, vecs = project_feasible(x, 3.0)
+            # the eigenpairs matrix_sqrt takes: lambda >= 0, V unitary
+            assert np.all(lam >= 0.0)
+            np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(3),
+                                       atol=1e-12)
+            out = covariance(lam, vecs)
             psd, trace, _ = _feasibility_residuals(out, 3.0, spec)
             assert max(psd, trace) < 1e-8
             assert np.linalg.norm(out - reference_projection(x, 3.0),
@@ -149,7 +155,7 @@ class TestProjectFeasible:
         # at |x| >> power/eps, eigenvalue minus threshold cancels to
         # round-off; the top eigenvalue must still take the whole budget
         x = 1e20 * np.diag([0.5, 1.0]).astype(complex)
-        out = project_feasible(x, 1.0)
+        out = covariance(*project_feasible(x, 1.0))
         np.testing.assert_allclose(out, np.diag([0.0, 1.0]), atol=1e-12)
 
 
@@ -232,6 +238,22 @@ class TestSolveCovariance:
         sol = solve_covariance(c, power, spec)
         assert np.linalg.norm(sol.r_w - r0, "fro") <= 1e-10 * power
         assert len(projection_calls) == 1
+
+    def test_closed_form_path_decomposes_once(self, monkeypatch):
+        # the projection's eigh serves both R_w and W; the certificate's
+        # eigvalsh stays independent of it
+        calls = {"eigh": 0, "eigvalsh": 0}
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        spec = omni_spec(8.0, 4, 1.5)  # lambda_min(R_d) = 2 >= gamma_bp
+        solve_covariance(random_psd(np.random.default_rng(11), 4), 8.0, spec)
+        assert calls == {"eigh": 1, "eigvalsh": 1}
 
     def test_ball_inactive_regime_takes_at_most_two_steps(
             self, projection_calls):
@@ -321,3 +343,9 @@ class TestSolveCovariance:
                 <= 1e-9 * max(1.0, power)
             assert dual_bound(c, power, spec) - sol.objective \
                 <= 1e-9 * abs(sol.objective)
+            # W is the Hermitian root of R_w on every path, the face point
+            # built from U V_s included
+            assert np.linalg.norm(sol.w - sol.w.conj().T, "fro") \
+                <= 1e-12 * np.linalg.norm(sol.w, "fro")
+            assert np.linalg.norm(sol.w @ sol.w.conj().T - sol.r_w, "fro") \
+                <= 1e-9 * np.linalg.norm(sol.r_w, "fro")
