@@ -87,10 +87,9 @@ def rician_channel(los: ComplexArray, k_factor: float,
             + np.sqrt(1 / (1 + k_factor)) * nlos)
 
 
-def los_component(geometry: SystemGeometry,
-                  radar_departure_angle: float = 0.0,
-                  irs_arrival_azimuth: float = 0.0,
-                  irs_arrival_elevation: float = 0.0) -> ComplexArray:
+def los_component(geometry: SystemGeometry, radar_departure_angle: float,
+                  irs_arrival_azimuth: float,
+                  irs_arrival_elevation: float) -> ComplexArray:
     """Rank-one LOS matrix for the radar->IRS link (N x M, unit-modulus)."""
     a_irs = upa_steering(geometry, irs_arrival_azimuth, irs_arrival_elevation)
     a_radar = ula_steering(geometry.num_radar_antennas,

@@ -1,10 +1,10 @@
 """Flat key-value run configuration with dB/linear reconciliation.
 
-A config file holds one ``key = value`` pair per line with ``#`` comments.
-Every ratio/power key is accepted either in linear form or with a ``_db``
-(or ``_dbm``) suffix; the dB form wins, and supplying both with
-inconsistent values is an error.  The built-in preset ``table1`` carries
-the reference simulation parameters.
+A config file holds one ``key = value`` pair per line with ``#`` comments,
+and sets each key at most once.  Every ratio/power key is accepted either
+in linear form or with a ``_db`` (or ``_dbm``) suffix; the dB form wins,
+and supplying both with inconsistent values is an error.  The built-in
+preset ``table1`` carries the reference simulation parameters.
 
 This is the bottom layer: it imports nothing numerical at module level,
 so parsing and printing a config load no numpy.
@@ -28,19 +28,8 @@ _CERTIFY_RTOL = 1e-9   # feasibility residuals, relative to max(1, power)
 
 
 class ConfigError(ValueError):
-    """Base class for configuration problems (CLI exit code 2)."""
-
-
-class MissingKeyError(ConfigError):
-    pass
-
-
-class UnknownKeyError(ConfigError):
-    pass
-
-
-class BadValueError(ConfigError):
-    pass
+    """A configuration problem (CLI exit code 2); the message names the
+    key, line or override at fault."""
 
 
 def db_to_linear(db: float) -> float:
@@ -141,7 +130,6 @@ class RunConfig:
     r_d_path: str
     epsilon: float
     j_max: int
-    inner_steps: int
     seed: int
     theta_init: str
     num_realizations: int
@@ -194,10 +182,9 @@ _PARSERS = {
     "tuple[int, ...]": _parse_list(int),
 }
 
-# Reference simulation preset: tolerance -30 dB, 500 iterations, one MM
-# ascent step per iteration, 5 users, 0 dB Rician factor, half-wavelength
-# spacings, 10 dB beampattern ball, 0 dB noise powers, 30 dBm budget, M=8
-# and an 8x8 IRS.
+# Reference simulation preset: tolerance -30 dB, 500 iterations, 5 users,
+# 0 dB Rician factor, half-wavelength spacings, 10 dB beampattern ball, 0 dB
+# noise powers, 30 dBm budget, M=8 and an 8x8 IRS.
 TABLE1_PRESET: dict[str, str] = {
     "m": "8",
     "n_x": "8",
@@ -223,7 +210,6 @@ TABLE1_PRESET: dict[str, str] = {
     "r_d_path": "",
     "epsilon_db": "-30",
     "j_max": "500",
-    "inner_steps": "1",
     "seed": "0",
     "theta_init": "allones",
     "num_realizations": "20",
@@ -240,7 +226,7 @@ def _parse_scalar(key: str, text: str, kind: str, where: str):
     try:
         return _PARSERS[kind](text)
     except ValueError as exc:
-        raise BadValueError(
+        raise ConfigError(
             f"{where}: cannot parse {key!r} = {text!r} as {kind}") from exc
 
 
@@ -260,10 +246,14 @@ def _read_pairs(path: str | Path) -> _Pairs:
         if not line:
             continue
         if "=" not in line:
-            raise BadValueError(f"line {lineno}: expected 'key = value', "
-                                f"got {raw_line!r}")
+            raise ConfigError(f"line {lineno}: expected 'key = value', "
+                              f"got {raw_line!r}")
         key, value = line.split("=", 1)
-        pairs[key.strip()] = (value.strip(), f"line {lineno}")
+        key = key.strip()
+        if key in pairs:
+            raise ConfigError(f"line {lineno}: key {key!r} is set again "
+                              f"(first on {pairs[key][1]})")
+        pairs[key] = (value.strip(), f"line {lineno}")
     return pairs
 
 
@@ -271,7 +261,7 @@ def _resolve(pairs: _Pairs) -> dict[str, object]:
     """Validate keys, apply dB precedence, and type every value."""
     for key, (_, where) in pairs.items():
         if key not in _KEYS and key not in _DB_ALIASES.values():
-            raise UnknownKeyError(f"{where}: unknown key {key!r}")
+            raise ConfigError(f"{where}: unknown key {key!r}")
     resolved: dict[str, object] = {}
     for key, kind in _KEYS.items():
         db_alias = _DB_ALIASES.get(key)
@@ -281,8 +271,8 @@ def _resolve(pairs: _Pairs) -> dict[str, object]:
             if key == "r_d_path":
                 resolved[key] = ""
                 continue
-            raise MissingKeyError(f"missing required key {key!r}"
-                                  + (f" (or {db_alias!r})" if db_alias else ""))
+            raise ConfigError(f"missing required key {key!r}"
+                              + (f" (or {db_alias!r})" if db_alias else ""))
         linear_val = None
         if has_linear:
             text, where = pairs[key]
@@ -293,7 +283,7 @@ def _resolve(pairs: _Pairs) -> dict[str, object]:
             converted = db_to_linear(db_val)
             if has_linear and not math.isclose(converted, linear_val,
                                                rel_tol=1e-9, abs_tol=0.0):
-                raise BadValueError(
+                raise ConfigError(
                     f"{where}: {db_alias} = {db_val} (linear "
                     f"{converted:.6g}) contradicts {key} = {linear_val}")
             resolved[key] = converted
@@ -304,7 +294,7 @@ def _resolve(pairs: _Pairs) -> dict[str, object]:
 
 def _validate(values: dict[str, object]) -> None:
     def bad(key: str, why: str):
-        raise BadValueError(f"{key} = {values[key]!r}: {why}")
+        raise ConfigError(f"{key} = {values[key]!r}: {why}")
 
     for key, value in values.items():
         for item in value if isinstance(value, tuple) else (value,):
@@ -320,8 +310,7 @@ def _validate(values: dict[str, object]) -> None:
                 "radar_spacing", "irs_spacing"):
         if values[key] <= 0:
             bad(key, "must be positive")
-    for key in ("m", "n_x", "n_y", "num_users", "j_max", "inner_steps",
-                "num_realizations"):
+    for key in ("m", "n_x", "n_y", "num_users", "j_max", "num_realizations"):
         if values[key] < 1:
             bad(key, "must be >= 1")
     if values["k_g"] < 0:
@@ -357,25 +346,28 @@ def load_r_d(path: str, p0: float, m: int) -> ComplexArray:
     try:
         r_d = np.load(path)
     except (OSError, ValueError, EOFError) as exc:
-        raise BadValueError(f"r_d_path = {path!r}: {exc}") from exc
+        raise ConfigError(f"r_d_path = {path!r}: {exc}") from exc
     if not isinstance(r_d, np.ndarray):  # an .npz archive
-        raise BadValueError(f"r_d_path = {path!r}: not a .npy array")
+        raise ConfigError(f"r_d_path = {path!r}: not a .npy array")
+    if r_d.dtype.kind not in "biufc":
+        raise ConfigError(f"r_d_path = {path!r}: {r_d.dtype} is not a "
+                          f"numeric dtype")
     if r_d.shape != (m, m):
-        raise BadValueError(f"r_d_path matrix must be {m}x{m}, "
-                            f"got {r_d.shape}")
+        raise ConfigError(f"r_d_path matrix must be {m}x{m}, "
+                          f"got {r_d.shape}")
     r_d = np.asarray(r_d, dtype=complex)
     if not trace_matches(r_d, p0):
-        raise BadValueError(
+        raise ConfigError(
             f"r_d_path matrix has trace {np.trace(r_d).real:.6g}, "
             f"but p0 is {p0:.6g}")
     # Hermitian and PSD to the covariance solve's certificate tolerance
     tol = _CERTIFY_RTOL * max(1.0, p0)
     if np.linalg.norm(r_d - r_d.conj().T) > tol:
-        raise BadValueError(f"r_d_path = {path!r}: matrix is not Hermitian")
+        raise ConfigError(f"r_d_path = {path!r}: matrix is not Hermitian")
     min_eig = float(np.linalg.eigvalsh(r_d)[0])
     if min_eig < -tol:
-        raise BadValueError(f"r_d_path = {path!r}: matrix is not PSD "
-                            f"(smallest eigenvalue {min_eig:.3g})")
+        raise ConfigError(f"r_d_path = {path!r}: matrix is not PSD "
+                          f"(smallest eigenvalue {min_eig:.3g})")
     return r_d
 
 
@@ -390,7 +382,7 @@ def parse_config(source: str | Path,
         pairs = _read_pairs(source)
     for item in overrides or []:
         if "=" not in item:
-            raise BadValueError(f"override {item!r} is not key=value")
+            raise ConfigError(f"override {item!r} is not key=value")
         key, value = item.split("=", 1)
         key = key.strip()
         # an override replaces both spellings so precedence stays sane

@@ -3,9 +3,9 @@ plus Monte-Carlo experiment orchestration.
 
 Each outer iteration solves the covariance sub-problem for the current
 phase vector, rebuilds the polynomial objective coefficients, and takes
-the configured number of Riemannian ascent steps.  The loop stops when
-the relative change of the weighted SNR drops below the tolerance or the
-iteration cap is hit.
+one Riemannian ascent step along the gradient it just evaluated.  The
+loop stops when the relative change of the weighted SNR drops below the
+tolerance or the iteration cap is hit.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import (composite_comm_channel, composite_radar_channel,
                       synthesize_channels, upa_steering)
-from .config import BadValueError, ComplexArray, RunConfig
+from .config import ComplexArray, ConfigError, RunConfig
 from .manifold import ascent_step, euclidean_gradient, project_tangent
 from .objective import build_C, build_bundle, comm_snr, radar_snr, \
     weighted_objective
@@ -118,10 +118,7 @@ def alternate(cfg: RunConfig) -> ConvergenceTrace:
         f_prev = f_now
         if j == cfg.j_max:
             break
-        # the first inner step reuses the gradient behind grad_norm
-        theta, kappa = ascent_step(theta, bundle, kappa, gradient=egrad)
-        for _ in range(cfg.inner_steps - 1):
-            theta, kappa = ascent_step(theta, bundle, kappa)
+        theta, kappa = ascent_step(theta, bundle, kappa, egrad)
     return ConvergenceTrace(records=tuple(records), flag=flag,
                             theta=theta, r_w=r_w)
 
@@ -177,8 +174,8 @@ def run_power_sweep(cfg: RunConfig) -> ExperimentResult:
         raise ValueError("sweep lists must be nonempty")
     if cfg.r_d_path:
         # each (M, P0) point needs its own R_d; one file cannot supply them
-        raise BadValueError("r_d_path is not supported by sweep, which "
-                            "uses the isotropic R_d = (p0/m) I")
+        raise ConfigError("r_d_path is not supported by sweep, which "
+                          "uses the isotropic R_d = (p0/m) I")
     curves = []
     for m in cfg.sweep_m:
         for n in cfg.sweep_n:

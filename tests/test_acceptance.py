@@ -81,7 +81,8 @@ def test_criterion_3_manifold_invariants():
     kappa = 1.0
     worst_mod = 0.0
     for _ in range(500):
-        theta, kappa = ascent_step(theta, bundle, kappa)
+        theta, kappa = ascent_step(theta, bundle, kappa,
+                                   euclidean_gradient(theta, bundle))
         worst_mod = max(worst_mod,
                         float(np.max(np.abs(np.abs(theta) - 1.0))))
     g = rng.standard_normal(12) + 1j * rng.standard_normal(12)

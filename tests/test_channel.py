@@ -62,12 +62,12 @@ class TestRayleigh:
 
 class TestRician:
     def test_infinite_factor_is_pure_los(self):
-        los = los_component(geom())
+        los = los_component(geom(), 0.0, 0.0, 0.0)
         out = rician_channel(los, np.inf, np.random.default_rng(0))
         np.testing.assert_array_equal(out, los)
 
     def test_zero_factor_is_pure_rayleigh(self):
-        los = los_component(geom())
+        los = los_component(geom(), 0.0, 0.0, 0.0)
         out = rician_channel(los, 0.0, np.random.default_rng(5))
         ref = rayleigh_channel(*los.shape, rng=np.random.default_rng(5))
         np.testing.assert_allclose(out, ref)

@@ -96,8 +96,7 @@ class TestAlternate:
                 assert solution.objective >= kept - 1e-9 * abs(kept)
             r_prev = solution.r_w
 
-    @pytest.mark.parametrize("inner_steps", [1, 2])
-    def test_one_gradient_per_ascent_step(self, inner_steps, monkeypatch):
+    def test_one_gradient_per_ascent_step(self, monkeypatch):
         from dfrc import driver, manifold
         calls = []
         original = manifold.euclidean_gradient
@@ -108,18 +107,18 @@ class TestAlternate:
 
         monkeypatch.setattr(driver, "euclidean_gradient", counted)
         monkeypatch.setattr(manifold, "euclidean_gradient", counted)
-        trace = alternate(small_cfg(j_max=10, inner_steps=inner_steps))
+        trace = alternate(small_cfg(j_max=10))
         n_records = len(trace.records)
         assert n_records > 1
-        # one per record for grad_norm; the first inner step reuses it
-        assert len(calls) == n_records + (inner_steps - 1) * (n_records - 1)
+        # one per record for grad_norm, which the ascent step reuses
+        assert len(calls) == n_records
 
     def test_ascent_gets_euclidean_gradient(self, monkeypatch):
         from dfrc import driver
         original = driver.ascent_step
         steps = []
 
-        def checked(theta, bundle, kappa, gradient=None):
+        def checked(theta, bundle, kappa, gradient):
             np.testing.assert_array_equal(
                 gradient, euclidean_gradient(theta, bundle))
             steps.append(1)

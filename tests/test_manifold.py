@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dfrc.manifold import (ZeroElementError, ascent_step, euclidean_gradient,
-                           project_tangent, retract)
+from dfrc.manifold import (ascent_step, euclidean_gradient, project_tangent,
+                           retract)
 from dfrc.objective import ObjectiveBundle, eval_f1
 from dfrc.validation import finite_difference_gradient, random_bundle
 
@@ -118,21 +118,31 @@ class TestRetract:
         assert np.max(np.abs(np.abs(out) - 1.0)) < 1e-12
 
     def test_zero_element_error(self):
-        with pytest.raises(ZeroElementError):
-            retract(np.array([1.0 + 0j]), np.array([-1.0 + 0j]), 1.0)
+        # the step sends the first element to exactly 0: it keeps its
+        # phase, and the others are renormalized as usual
+        theta = np.exp(1j * np.array([0.4, 1.3, -2.0]))
+        direction = np.array([-theta[0], 1.0j, 0.5 + 0j])
+        out = retract(theta, direction, 1.0)
+        assert out[0] == theta[0]
+        moved = theta[1:] + direction[1:]
+        np.testing.assert_array_equal(out[1:], moved / np.abs(moved))
+        assert np.max(np.abs(np.abs(out) - 1.0)) < 1e-15
 
 
 class TestAscentStep:
     def test_zero_bundle_is_stationary(self):
         theta = unit_theta(np.random.default_rng(10), 5)
-        out, _ = ascent_step(theta, comm_bundle(5), 1.0)
+        bundle = comm_bundle(5)
+        out, _ = ascent_step(theta, bundle, 1.0,
+                             euclidean_gradient(theta, bundle))
         np.testing.assert_allclose(out, theta)
 
     def test_radial_gradient_is_stationary(self):
         # gradient of theta^H theta is 2*theta -> projection zero
         theta = unit_theta(np.random.default_rng(11), 6)
         bundle = comm_bundle(6, ac=1.0)
-        out, _ = ascent_step(theta, bundle, 1.0)
+        out, _ = ascent_step(theta, bundle, 1.0,
+                             euclidean_gradient(theta, bundle))
         np.testing.assert_allclose(out, theta, atol=1e-14)
 
     def test_small_step_increases_objective(self):
@@ -142,7 +152,8 @@ class TestAscentStep:
         for _ in range(10):
             bundle, theta = random_bundle(rng, 2, 8)
             before = eval_f1(theta, bundle)
-            moved, kappa = ascent_step(theta, bundle, 1e3)
+            moved, kappa = ascent_step(theta, bundle, 1e3,
+                                       euclidean_gradient(theta, bundle))
             assert eval_f1(moved, bundle) >= before - 1e-9
             assert kappa == 500.0
 
@@ -152,7 +163,8 @@ class TestAscentStep:
         bundle, theta = random_bundle(rng, 2, 6)
         kappa = 1.0
         for _ in range(3000):
-            theta, kappa = ascent_step(theta, bundle, kappa)
+            theta, kappa = ascent_step(theta, bundle, kappa,
+                                       euclidean_gradient(theta, bundle))
         # the step converges only linearly here, so a tangent residual of
         # about 2e-7 of the gradient is left; the cross term 2 ac Re<FW, E>
         # adds 2 ac diag(H^H FW GW^H) to the gradient, linear in FW and onto
@@ -171,7 +183,8 @@ class TestAscentStep:
         rgrad = project_tangent(euclidean_gradient(theta, bundle), theta)
         scale = max(1.0, np.linalg.norm(euclidean_gradient(theta, bundle)))
         assert np.linalg.norm(rgrad) / scale < 1e-8
-        moved, _ = ascent_step(theta, bundle, kappa)
+        moved, _ = ascent_step(theta, bundle, kappa,
+                               euclidean_gradient(theta, bundle))
         assert np.max(np.abs(moved - theta)) < 1e-7
 
     def test_backtracking_never_decreases(self):
@@ -181,24 +194,35 @@ class TestAscentStep:
         kappa = 2.0 ** -30
         f = eval_f1(theta, bundle)
         for _ in range(50):
-            theta, kappa = ascent_step(theta, bundle, kappa)
+            theta, kappa = ascent_step(theta, bundle, kappa,
+                                       euclidean_gradient(theta, bundle))
             f_new = eval_f1(theta, bundle)
             assert f_new >= f - 1e-12 * max(1.0, abs(f))
             f = f_new
 
     @pytest.mark.parametrize("rejected_first", [False, True])
-    def test_given_direction_matches_computed(self, rejected_first):
-        # rejected_first: the retries after a rejection reuse the gradient too
+    def test_given_direction_matches_computed(self, rejected_first,
+                                              monkeypatch):
+        # every candidate, the retries after a rejection too, moves along
+        # the gradient the caller computed
+        from dfrc import manifold
         rng = np.random.default_rng(19)
         if rejected_first:
             (bundle, theta), kappa = concave_bundle(rng, 8), 2.0 ** -40
         else:
             (bundle, theta), kappa = random_bundle(rng, 3, 10), 0.1
         grad = euclidean_gradient(theta, bundle)
-        given, kappa_given = ascent_step(theta, bundle, kappa, gradient=grad)
-        computed, kappa_computed = ascent_step(theta, bundle, kappa)
-        np.testing.assert_array_equal(given, computed)
-        assert kappa_given == kappa_computed
+        candidates = []
+
+        def recorded(point, direction, step):
+            assert direction is grad
+            candidates.append(retract(point, direction, step))
+            return candidates[-1]
+
+        monkeypatch.setattr(manifold, "retract", recorded)
+        given, kappa_given = ascent_step(theta, bundle, kappa, grad)
+        np.testing.assert_array_equal(given, candidates[-1])
+        assert (len(candidates) > 1) == rejected_first
         assert (kappa_given > kappa) == rejected_first
 
     def test_step_is_retraction_along_euclidean_gradient(self):
@@ -206,7 +230,7 @@ class TestAscentStep:
         bundle, theta = random_bundle(rng, 3, 10)
         grad = euclidean_gradient(theta, bundle)
         lam = 0.25 * np.linalg.norm(grad) / np.sqrt(10)
-        moved, kappa = ascent_step(theta, bundle, 0.25)
+        moved, kappa = ascent_step(theta, bundle, 0.25, grad)
         assert kappa == 0.125
         np.testing.assert_allclose(
             moved, np.exp(1j * np.angle(grad + 2 * lam * theta)), atol=1e-12)
@@ -219,7 +243,8 @@ class TestAscentStep:
         kappa = 1.0
         f = eval_f1(theta, bundle)
         for _ in range(2000):
-            theta, kappa = ascent_step(theta, bundle, kappa)
+            theta, kappa = ascent_step(theta, bundle, kappa,
+                                       euclidean_gradient(theta, bundle))
             assert np.all(np.isfinite(theta)) and kappa >= 2.0 ** -30
             assert np.max(np.abs(np.abs(theta) - 1.0)) < 1e-10
             f_new = eval_f1(theta, bundle)
@@ -232,7 +257,7 @@ class TestAscentStep:
         assert eval_f1(np.exp(1j * np.angle(grad)), bundle) \
             < eval_f1(theta, bundle)
         start = 2.0 ** -40
-        moved, kappa = ascent_step(theta, bundle, start)
+        moved, kappa = ascent_step(theta, bundle, start, grad)
         assert eval_f1(moved, bundle) >= eval_f1(theta, bundle)
         assert kappa > start
 
@@ -252,11 +277,13 @@ class TestAscentStep:
         monkeypatch.setattr(manifold, "eval_f1", falling)
         kappa = 1.0
         for _ in range(20):
-            moved, kappa = ascent_step(theta, bundle, kappa)
+            moved, kappa = ascent_step(theta, bundle, kappa,
+                                       euclidean_gradient(theta, bundle))
             np.testing.assert_array_equal(moved, theta)
         assert kappa == 2.0 ** 30
         monkeypatch.undo()
-        _, kappa = ascent_step(theta, bundle, kappa)
+        _, kappa = ascent_step(theta, bundle, kappa,
+                               euclidean_gradient(theta, bundle))
         assert kappa == 2.0 ** 29
 
     def test_zero_element_is_rejected_not_raised(self):
@@ -264,7 +291,8 @@ class TestAscentStep:
         # -2 theta sends theta_i + t g_i to exactly 0 at kappa = 0.5
         theta = unit_theta(np.random.default_rng(22), 5)
         bundle = comm_bundle(5, ac=-1.0)
-        moved, _ = ascent_step(theta, bundle, 0.5)
+        moved, _ = ascent_step(theta, bundle, 0.5,
+                               euclidean_gradient(theta, bundle))
         np.testing.assert_allclose(moved, theta, atol=1e-14)
 
 
