@@ -1,10 +1,12 @@
-"""Flat key-value run configuration with dB/linear reconciliation.
+"""Flat key-value run configuration.
 
-A config file holds one ``key = value`` pair per line with ``#`` comments,
-and sets each key at most once.  Every ratio/power key is accepted either
-in linear form or with a ``_db`` (or ``_dbm``) suffix; the dB form wins,
-and supplying both with inconsistent values is an error.  The built-in
-preset ``table1`` carries the reference simulation parameters.
+A config file holds one ``key = value`` pair per line with ``#`` comments.
+Every ratio/power key may be spelled in linear form or with a ``_db`` (or
+``_dbm``) suffix, which is converted to linear as it is read; a file sets
+each quantity once, in either spelling, and a ``--set`` override replaces
+it in whichever spelling it was set.  A ``RunConfig`` checks its own
+values, so one made by ``dataclasses.replace`` is checked too.  The
+built-in preset ``table1`` carries the reference simulation parameters.
 
 This is the bottom layer: it imports nothing numerical at module level,
 so parsing and printing a config load no numpy.
@@ -12,7 +14,7 @@ so parsing and printing a config load no numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, TypeAlias
 
@@ -51,17 +53,6 @@ class SystemGeometry:
     target_azimuth: float  # rad
     target_elevation: float  # rad
 
-    def __post_init__(self) -> None:
-        if self.num_radar_antennas < 1:
-            raise ValueError("num_radar_antennas must be >= 1")
-        if self.irs_rows < 1 or self.irs_cols < 1:
-            raise ValueError("IRS grid dimensions must be >= 1")
-        if self.radar_spacing <= 0 or self.irs_spacing <= 0:
-            raise ValueError("element spacings must be positive")
-        for ang in (self.target_azimuth, self.target_elevation):
-            if not math.isfinite(ang):
-                raise ValueError("angles must be finite")
-
     @property
     def num_irs_elements(self) -> int:
         return self.irs_rows * self.irs_cols
@@ -75,12 +66,6 @@ class DesignWeights:
     sigma_r_sq: float
     sigma_c_sq: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
-        if self.sigma_r_sq <= 0 or self.sigma_c_sq <= 0:
-            raise ValueError("noise powers must be positive")
-
 
 @dataclass(frozen=True)
 class BeampatternSpec:
@@ -88,12 +73,6 @@ class BeampatternSpec:
 
     r_d: ComplexArray
     gamma_bp: float
-
-    def __post_init__(self) -> None:
-        if self.gamma_bp < 0:
-            raise ValueError("gamma_bp must be >= 0")
-        if self.r_d.ndim != 2 or self.r_d.shape[0] != self.r_d.shape[1]:
-            raise ValueError("R_d must be square")
 
 
 @dataclass(frozen=True)
@@ -103,7 +82,9 @@ class RunConfig:
     The fields up to ``sweep_n`` are the config keys in their linear
     spelling, in ``print-config`` order; each annotation says how the key's
     text is parsed.  ``r_d`` is not a key: it holds the matrix loaded from
-    ``r_d_path``, or None for the isotropic (p0/m)*I.
+    ``r_d_path``, or None for the isotropic (p0/m)*I.  Construction, also
+    through ``dataclasses.replace``, raises ConfigError for a value out of
+    range.
     """
 
     m: int
@@ -139,6 +120,55 @@ class RunConfig:
     sweep_n: tuple[int, ...]
     r_d: ComplexArray | None = field(default=None, compare=False, repr=False)
 
+    def __post_init__(self) -> None:
+        """Reject values outside the domain of the runs."""
+        values = vars(self)
+
+        def bad(key: str, why: str):
+            raise ConfigError(f"{key} = {values[key]!r}: {why}")
+
+        for key in _KEYS:
+            value = values[key]
+            for item in value if isinstance(value, tuple) else (value,):
+                # k_g = inf is a pure line-of-sight radar->IRS link
+                if isinstance(item, (float, complex)) \
+                        and not (math.isfinite(item.real)
+                                 and math.isfinite(item.imag)) \
+                        and not (key == "k_g" and item == math.inf):
+                    bad(key, "must be finite")
+        if not 0.0 <= self.alpha <= 1.0:
+            bad("alpha", "must lie in [0, 1]")
+        for key in ("sigma_r_sq", "sigma_c_sq", "p0", "epsilon",
+                    "radar_spacing", "irs_spacing"):
+            if values[key] <= 0:
+                bad(key, "must be positive")
+        for key in ("m", "n_x", "n_y", "num_users", "j_max",
+                    "num_realizations"):
+            if values[key] < 1:
+                bad(key, "must be >= 1")
+        if self.k_g < 0:
+            bad("k_g", "must be >= 0")
+        if self.gamma_bp < 0:
+            bad("gamma_bp", "must be >= 0")
+        if self.seed < 0:
+            bad("seed", "must be >= 0")
+        if self.theta_init not in ("allones", "random"):
+            bad("theta_init", "must be 'allones' or 'random'")
+        if any(not 0.0 <= a <= 1.0 for a in self.alphas):
+            bad("alphas", "entries must lie in [0, 1]")
+        for key in ("sweep_p0", "sweep_m", "sweep_n"):
+            if not values[key]:
+                bad(key, "must list at least one entry")
+        if any(p <= 0 for p in self.sweep_p0):
+            bad("sweep_p0", "entries must be positive")
+        for key in ("sweep_m", "sweep_n"):
+            if any(v < 1 for v in values[key]):
+                bad(key, "entries must be >= 1")
+        # a repeated entry would run, and write, the same output twice
+        for key in ("alphas", "sweep_p0", "sweep_m", "sweep_n"):
+            if len(set(values[key])) < len(values[key]):
+                bad(key, "entries must be distinct")
+
     @property
     def geometry(self) -> SystemGeometry:
         return SystemGeometry(
@@ -164,10 +194,10 @@ class RunConfig:
 # config key -> its RunConfig annotation
 _KEYS = {f.name: f.type for f in fields(RunConfig) if f.name != "r_d"}
 
-# linear key -> the dB-suffixed spelling it also accepts
-_DB_ALIASES = {"sigma_r_sq": "sigma_r_sq_db", "sigma_c_sq": "sigma_c_sq_db",
-               "k_g": "k_g_db", "p0": "p0_dbm", "gamma_bp": "gamma_bp_db",
-               "epsilon": "epsilon_db"}
+# dB-suffixed spelling -> the linear key it sets
+_DB_KEYS = {"sigma_r_sq_db": "sigma_r_sq", "sigma_c_sq_db": "sigma_c_sq",
+            "k_g_db": "k_g", "p0_dbm": "p0", "gamma_bp_db": "gamma_bp",
+            "epsilon_db": "epsilon"}
 
 
 def _parse_list(item):
@@ -230,13 +260,29 @@ def _parse_scalar(key: str, text: str, kind: str, where: str):
             f"{where}: cannot parse {key!r} = {text!r} as {kind}") from exc
 
 
-# Each pair is key -> (value text, where it came from): "line N" of a config
-# file, the "--set key=value" override, or the preset's name.
-_Pairs = dict[str, tuple[str, str]]
+# Each entry is linear key -> (value, where its text came from): "line N"
+# of a config file, the "--set key=value" override, or the preset's name.
+_Values = dict[str, tuple[object, str]]
 
 
-def _read_pairs(path: str | Path) -> _Pairs:
-    pairs: _Pairs = {}
+def _set(values: _Values, key: str, text: str, where: str) -> None:
+    """Parse ``key = text`` into values, a dB spelling into its linear key."""
+    linear = _DB_KEYS.get(key, key)
+    if linear not in _KEYS:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    if linear in values:
+        named = repr(key) if key == linear else f"{linear!r} (as {key!r})"
+        raise ConfigError(f"{where}: key {named} is set again "
+                          f"(first on {values[linear][1]})")
+    if key == linear:
+        value = _parse_scalar(key, text, _KEYS[key], where)
+    else:
+        value = db_to_linear(_parse_scalar(key, text, "float", where))
+    values[linear] = (value, where)
+
+
+def _read_file(path: str | Path) -> _Values:
+    values: _Values = {}
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:  # e.g. a directory
@@ -249,88 +295,8 @@ def _read_pairs(path: str | Path) -> _Pairs:
             raise ConfigError(f"line {lineno}: expected 'key = value', "
                               f"got {raw_line!r}")
         key, value = line.split("=", 1)
-        key = key.strip()
-        if key in pairs:
-            raise ConfigError(f"line {lineno}: key {key!r} is set again "
-                              f"(first on {pairs[key][1]})")
-        pairs[key] = (value.strip(), f"line {lineno}")
-    return pairs
-
-
-def _resolve(pairs: _Pairs) -> dict[str, object]:
-    """Validate keys, apply dB precedence, and type every value."""
-    for key, (_, where) in pairs.items():
-        if key not in _KEYS and key not in _DB_ALIASES.values():
-            raise ConfigError(f"{where}: unknown key {key!r}")
-    resolved: dict[str, object] = {}
-    for key, kind in _KEYS.items():
-        db_alias = _DB_ALIASES.get(key)
-        has_linear = key in pairs
-        has_db = db_alias in pairs
-        if not has_linear and not has_db:
-            if key == "r_d_path":
-                resolved[key] = ""
-                continue
-            raise ConfigError(f"missing required key {key!r}"
-                              + (f" (or {db_alias!r})" if db_alias else ""))
-        linear_val = None
-        if has_linear:
-            text, where = pairs[key]
-            linear_val = _parse_scalar(key, text, kind, where)
-        if has_db:
-            text, where = pairs[db_alias]
-            db_val = _parse_scalar(db_alias, text, "float", where)
-            converted = db_to_linear(db_val)
-            if has_linear and not math.isclose(converted, linear_val,
-                                               rel_tol=1e-9, abs_tol=0.0):
-                raise ConfigError(
-                    f"{where}: {db_alias} = {db_val} (linear "
-                    f"{converted:.6g}) contradicts {key} = {linear_val}")
-            resolved[key] = converted
-        else:
-            resolved[key] = linear_val
-    return resolved
-
-
-def _validate(values: dict[str, object]) -> None:
-    def bad(key: str, why: str):
-        raise ConfigError(f"{key} = {values[key]!r}: {why}")
-
-    for key, value in values.items():
-        for item in value if isinstance(value, tuple) else (value,):
-            # k_g = inf is a pure line-of-sight radar->IRS link
-            if isinstance(item, (float, complex)) \
-                    and not (math.isfinite(item.real)
-                             and math.isfinite(item.imag)) \
-                    and not (key == "k_g" and item == math.inf):
-                bad(key, "must be finite")
-    if not 0.0 <= values["alpha"] <= 1.0:
-        bad("alpha", "must lie in [0, 1]")
-    for key in ("sigma_r_sq", "sigma_c_sq", "p0", "epsilon",
-                "radar_spacing", "irs_spacing"):
-        if values[key] <= 0:
-            bad(key, "must be positive")
-    for key in ("m", "n_x", "n_y", "num_users", "j_max", "num_realizations"):
-        if values[key] < 1:
-            bad(key, "must be >= 1")
-    if values["k_g"] < 0:
-        bad("k_g", "must be >= 0")
-    if values["gamma_bp"] < 0:
-        bad("gamma_bp", "must be >= 0")
-    if values["seed"] < 0:
-        bad("seed", "must be >= 0")
-    if values["theta_init"] not in ("allones", "random"):
-        bad("theta_init", "must be 'allones' or 'random'")
-    if any(not 0.0 <= a <= 1.0 for a in values["alphas"]):
-        bad("alphas", "entries must lie in [0, 1]")
-    for key in ("sweep_p0", "sweep_m", "sweep_n"):
-        if not values[key]:
-            bad(key, "must list at least one entry")
-    if any(p <= 0 for p in values["sweep_p0"]):
-        bad("sweep_p0", "entries must be positive")
-    for key in ("sweep_m", "sweep_n"):
-        if any(v < 1 for v in values[key]):
-            bad(key, "entries must be >= 1")
+        _set(values, key.strip(), value.strip(), f"line {lineno}")
+    return values
 
 
 def trace_matches(r_d: ComplexArray, power: float) -> bool:
@@ -377,24 +343,29 @@ def parse_config(source: str | Path,
     RunConfig, applying ``key=value`` override strings last."""
     name = str(source)
     if name in PRESETS:
-        pairs = {k: (v, f"preset {name}") for k, v in PRESETS[name].items()}
+        values: _Values = {}
+        for key, text in PRESETS[name].items():
+            _set(values, key, text, f"preset {name}")
     else:
-        pairs = _read_pairs(source)
+        values = _read_file(source)
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not key=value")
-        key, value = item.split("=", 1)
-        key = key.strip()
-        # an override replaces both spellings so precedence stays sane
-        linear = next((k for k, a in _DB_ALIASES.items() if a == key), key)
-        pairs.pop(linear, None)
-        pairs.pop(_DB_ALIASES.get(linear), None)
-        pairs[key] = (value.strip(), f"--set {item}")
-    values = _resolve(pairs)
-    _validate(values)
-    path = values["r_d_path"]
-    r_d = load_r_d(path, values["p0"], values["m"]) if path else None
-    return RunConfig(**values, r_d=r_d)
+        key, text = item.split("=", 1)
+        # replaces the quantity in whichever spelling it was set
+        override: _Values = {}
+        _set(override, key.strip(), text.strip(), f"--set {item}")
+        values.update(override)
+    values.setdefault("r_d_path", ("", "its default"))
+    for key in _KEYS:
+        if key not in values:
+            db = [alias for alias, k in _DB_KEYS.items() if k == key]
+            raise ConfigError(f"missing required key {key!r}"
+                              + (f" (or {db[0]!r})" if db else ""))
+    cfg = RunConfig(**{key: value for key, (value, _) in values.items()})
+    if cfg.r_d_path:  # loading R_d needs a checked m and p0
+        cfg = replace(cfg, r_d=load_r_d(cfg.r_d_path, cfg.p0, cfg.m))
+    return cfg
 
 
 def _format(value: object) -> str:

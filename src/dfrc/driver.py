@@ -124,8 +124,6 @@ def alternate(cfg: RunConfig) -> ConvergenceTrace:
 
 
 def _realization_traces(cfg: RunConfig) -> list[ConvergenceTrace]:
-    if cfg.num_realizations < 1:
-        raise ValueError("num_realizations must be >= 1")
     return [alternate(replace(cfg, seed=cfg.seed + idx))
             for idx in range(cfg.num_realizations)]
 
@@ -170,8 +168,6 @@ def _factor_grid(n: int) -> tuple[int, int]:
 def run_power_sweep(cfg: RunConfig) -> ExperimentResult:
     """Converged weighted SNR versus each ``sweep_p0`` power for every
     (M, N) pair of ``sweep_m`` x ``sweep_n``."""
-    if not (cfg.sweep_p0 and cfg.sweep_m and cfg.sweep_n):
-        raise ValueError("sweep lists must be nonempty")
     if cfg.r_d_path:
         # each (M, P0) point needs its own R_d; one file cannot supply them
         raise ConfigError("r_d_path is not supported by sweep, which "

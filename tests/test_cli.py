@@ -6,7 +6,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -65,19 +65,43 @@ class TestParseConfig:
             parse_config(path)
 
     def test_inconsistent_db_and_linear(self, tmp_path):
+        # a quantity is set once per file, in either spelling
         text = format_config(parse_config("table1")) + "epsilon_db = -20\n"
         path = tmp_path / "conflict.cfg"
         path.write_text(text)
-        with pytest.raises(ConfigError, match="^line 32: epsilon_db = -20.0 "
-                           r"\(linear 0.01\) contradicts epsilon = 0.001$"):
+        with pytest.raises(ConfigError, match=r"^line 32: key 'epsilon' "
+                           r"\(as 'epsilon_db'\) is set again \(first on "
+                           r"line 23\)$"):
             parse_config(path)
 
-    def test_consistent_db_and_linear_accepted(self, tmp_path):
-        text = format_config(parse_config("table1")) + "epsilon_db = -30\n"
-        text = text.replace("epsilon = 0.001", "epsilon = 0.001")
-        path = tmp_path / "consistent.cfg"
+    def test_agreeing_db_and_linear_is_config_error(self, tmp_path, capsys):
+        text = format_config(parse_config("table1"))
+        assert "\nepsilon = 0.001\n" in text
+        path = tmp_path / "agree.cfg"
+        path.write_text(text + "epsilon_db = -30\n")
+        assert run_cli("print-config", "--config", str(path)) == 2
+        assert "is set again (first on line 23)" in capsys.readouterr().err
+
+    def test_db_override_replaces_linear_form(self, tmp_path):
+        text = format_config(parse_config("table1"))
+        assert "\np0 = 1000.0\n" in text
+        path = tmp_path / "linear.cfg"
         path.write_text(text)
-        assert parse_config(path).epsilon == pytest.approx(1e-3)
+        assert parse_config(path, ["p0_dbm=20"]).p0 == pytest.approx(100.0)
+
+    @pytest.mark.parametrize("key, bad, text", [
+        pytest.param(*case, id=case[0]) for case in [
+            ("theta_init", "randm", "randm"), ("epsilon", 0.0, "0.0"),
+            ("j_max", 0, "0"), ("seed", -1, "-1"), ("sweep_m", (), "")]])
+    def test_replace_is_checked(self, key, bad, text):
+        # a RunConfig made by dataclasses.replace meets the same checks,
+        # with the same message, as one parsed with --set key=text
+        with pytest.raises(ConfigError) as parsed:
+            parse_config("table1", [f"{key}={text}"])
+        with pytest.raises(ConfigError) as replaced:
+            replace(parse_config("table1"), **{key: bad})
+        assert str(replaced.value) == str(parsed.value)
+        assert str(parsed.value).startswith(f"{key} = ")
 
     def test_comments_and_blank_lines(self, tmp_path):
         text = "# header\n\n" + format_config(parse_config("table1"))
@@ -270,6 +294,24 @@ class TestCommands:
         key = item.split("=")[0]
         assert f"config error: {key} = " in capsys.readouterr().err
         assert runs == []
+
+    @pytest.mark.parametrize("command, item", [
+        ("converge", "alphas=0.5,0.50"), ("sweep", "sweep_p0=10,1e1"),
+        ("sweep", "sweep_m=4,4"), ("sweep", "sweep_n=16,36,16")])
+    def test_repeated_list_entries_rejected_before_any_run(
+            self, command, item, tmp_path, capsys, monkeypatch):
+        # a repeated entry would write its CSV twice
+        runs = []
+        monkeypatch.setattr(driver, "alternate",
+                            lambda cfg: runs.append(cfg))
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", "table1", "--set", item,
+                       "--out", str(out)) == 2
+        key = item.split("=")[0]
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} = (")
+        assert err.endswith("): entries must be distinct\n")
+        assert runs == [] and not out.exists()
 
     @pytest.mark.parametrize("item, why", [
         ("foo=1", "unknown key 'foo'"),
