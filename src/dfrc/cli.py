@@ -1,9 +1,8 @@
 """Command-line front end.
 
-Commands: converge, sweep, validate-gradient, validate-solver,
-print-config.  Exit codes: 0 success, 1 validation failure, 2 config
-error, 3 runtime error.  Each command imports only the modules it runs:
-print-config and config errors load no numpy.
+Commands: converge, sweep, print-config.  Exit codes: 0 success, 2
+config error, 3 runtime error.  Each command imports only the modules it
+runs: print-config and config errors load no numpy.
 """
 from __future__ import annotations
 
@@ -92,31 +91,12 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="converged SNR vs power/M/N grid"), True)
     add_common(sub.add_parser("print-config",
                               help="print the resolved config"), False)
-    sub.add_parser("validate-gradient",
-                   help="finite-difference gradient check suite")
-    sub.add_parser("validate-solver",
-                   help="covariance solver oracle suite")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command.startswith("validate-"):
-            from . import validation
-            results = (validation.gradient_checks()
-                       if args.command == "validate-gradient"
-                       else validation.solver_checks())
-            print(validation.format_table(results))
-            if all(r.passed for r in results):
-                return 0
-            first_fail = next(r for r in results if not r.passed)
-            print(f"FAILED: {first_fail.name} "
-                  f"(measured {first_fail.measured:.3e}, "
-                  f"tolerance {first_fail.tolerance:.1e})",
-                  file=sys.stderr)
-            return 1
-
         cfg = parse_config(args.config, args.overrides)
         if args.command == "print-config":
             sys.stdout.write(format_config(cfg))

@@ -168,6 +168,9 @@ class RunConfig:
         for key in ("alphas", "sweep_p0", "sweep_m", "sweep_n"):
             if len(set(values[key])) < len(values[key]):
                 bad(key, "entries must be distinct")
+        # and each alpha names its converge CSV by its :g label
+        if len({f"{a:g}" for a in self.alphas}) < len(self.alphas):
+            bad("alphas", "entries must differ in their :g labels")
 
     @property
     def geometry(self) -> SystemGeometry:

@@ -19,8 +19,8 @@ from dfrc.manifold import ascent_step, euclidean_gradient, project_tangent
 from dfrc.objective import build_bundle, build_C, comm_snr, eval_f1, \
     radar_snr, weighted_objective
 from dfrc.precoder import BeampatternSpec, solve_covariance
-from dfrc.validation import (finite_difference_gradient, random_bundle,
-                             random_instance, sample_feasible)
+from instances import (finite_difference_gradient, random_bundle,
+                       random_instance, sample_feasible)
 
 
 def report(name: str, passed: bool, detail: str) -> None:

@@ -4,7 +4,7 @@ import pytest
 from dfrc.channel import (ChannelSet, SystemGeometry, composite_comm_channel,
                           composite_radar_channel, los_component,
                           rayleigh_channel, rician_channel,
-                          synthesize_channels, upa_steering)
+                          synthesize_channels, ula_steering, upa_steering)
 from dfrc.config import parse_config
 
 
@@ -12,6 +12,13 @@ def geom(m=2, n_y=2, n_x=2, az=0.3, el=0.7):
     return SystemGeometry(num_radar_antennas=m, irs_rows=n_y, irs_cols=n_x,
                           radar_spacing=0.5, irs_spacing=0.5,
                           target_azimuth=az, target_elevation=el)
+
+
+class TestUlaSteering:
+    def test_phase_at_thirty_degrees(self):
+        # phase step 2*pi*0.5*sin(pi/6) = pi/2 -> [1, j, -1, -j]
+        a = ula_steering(4, 0.5, np.pi / 6)
+        np.testing.assert_allclose(a, [1.0, 1j, -1.0, -1j], atol=1e-12)
 
 
 class TestUpaSteering:

@@ -12,10 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dfrc import channel, cli, driver, manifold, precoder, validation
+from dfrc import channel, cli, driver, manifold, precoder
 from dfrc.config import (TABLE1_PRESET, ConfigError, RunConfig,
                          format_config, parse_config)
-from dfrc.validation import CheckResult, format_table
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -313,6 +312,21 @@ class TestCommands:
         assert err.endswith("): entries must be distinct\n")
         assert runs == [] and not out.exists()
 
+    def test_alphas_with_one_label_rejected_before_any_run(
+            self, tmp_path, capsys, monkeypatch):
+        # both would be written to converge_alpha_0.123456.csv
+        runs = []
+        monkeypatch.setattr(driver, "alternate",
+                            lambda cfg: runs.append(cfg))
+        out = tmp_path / "out"
+        assert run_cli("converge", "--config", "table1",
+                       "--set", "alphas=0.1234561,0.1234562",
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: alphas = (0.1234561, 0.1234562)")
+        assert err.endswith("): entries must differ in their :g labels\n")
+        assert runs == [] and not out.exists()
+
     @pytest.mark.parametrize("item, why", [
         ("foo=1", "unknown key 'foo'"),
         ("sweep_m=4.5", "cannot parse 'sweep_m' = '4.5'")])
@@ -409,9 +423,8 @@ class TestCommands:
 class TestStartUp:
     def test_config_commands_load_no_numerical_module(self):
         # import dfrc, print-config and a config error resolve text only;
-        # numpy, the driver and the validation suite load when a command
-        # computes
-        heavy = ("numpy", "dfrc.driver", "dfrc.validation")
+        # numpy and the driver load when a command computes
+        heavy = ("numpy", "dfrc.driver")
         steps = [
             "import dfrc",
             "from dfrc.cli import main\n"
@@ -489,39 +502,6 @@ class TestProcessEntry:
         assert 'dfrc = "dfrc.cli:run"' in pyproject.splitlines()
 
 
-class TestValidateCommands:
-    # the CLI looks the suites up in dfrc.validation when the command runs
-    def test_validate_gradient_passes(self, capsys, monkeypatch):
-        checks = validation.gradient_checks
-        monkeypatch.setattr(validation, "gradient_checks",
-                            lambda: checks(num_instances=10))
-        assert run_cli("validate-gradient") == 0
-        assert "PASS" in capsys.readouterr().out
-
-    def test_validate_gradient_catches_conjugate_bug(self, capsys,
-                                                     monkeypatch):
-        from dfrc.manifold import euclidean_gradient
-
-        def corrupted(theta, bundle):
-            return euclidean_gradient(theta, bundle).conj()
-
-        checks = validation.gradient_checks
-        monkeypatch.setattr(
-            validation, "gradient_checks",
-            lambda: checks(num_instances=5, gradient_fn=corrupted))
-        assert run_cli("validate-gradient") == 1
-        captured = capsys.readouterr()
-        assert "gradient_vs_finite_difference" in captured.err
-
-    def test_validate_solver_passes(self, capsys, monkeypatch):
-        checks = validation.solver_checks
-        monkeypatch.setattr(validation, "solver_checks",
-                            lambda: checks(num_samples=5000))
-        assert run_cli("validate-solver") == 0
-        out = capsys.readouterr().out
-        assert "sampled_oracle_gap" in out
-
-
 class TestBenchmarkContract:
     def test_traced_run_reports_every_per_layer_metric(self, tmp_path):
         # benchmarks/tracing.py wraps functions by the names their callers
@@ -558,8 +538,3 @@ class TestEmitResults:
                                                   curves=()),
                                  tmp_path, "cfg", 0, 1.0)
         assert [p.name for p in files] == ["manifest.json"]
-
-    def test_table_formatting(self):
-        rows = [CheckResult("demo", 1e-5, 2e-6, True)]
-        table = format_table(rows)
-        assert "demo" in table and "PASS" in table

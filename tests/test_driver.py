@@ -7,10 +7,12 @@ from dfrc.channel import ChannelSet, composite_comm_channel, \
     composite_radar_channel, upa_steering
 from dfrc.config import parse_config
 from dfrc.channel import synthesize_channels
-from dfrc.driver import (CONVERGED, HIT_CAP, alternate,
-                         run_convergence_experiment, run_power_sweep)
-from dfrc.manifold import euclidean_gradient
-from dfrc.objective import build_C
+from dfrc.driver import (CONVERGED, HIT_CAP, ConvergenceTrace,
+                         IterationRecord, _aligned_stats, alternate,
+                         initial_theta, run_convergence_experiment,
+                         run_power_sweep)
+from dfrc.manifold import euclidean_gradient, project_tangent
+from dfrc.objective import build_bundle, build_C
 from dfrc.precoder import solve_covariance
 
 
@@ -128,6 +130,21 @@ class TestAlternate:
         trace = alternate(small_cfg(j_max=10))
         assert len(steps) == len(trace.records) - 1
 
+    def test_grad_norm_is_the_tangent_norm(self):
+        cfg = small_cfg(j_max=3)
+        channels = synthesize_channels(cfg)
+        a_irs = upa_steering(cfg.geometry)
+        theta = initial_theta(cfg)
+        c = build_C(composite_radar_channel(channels, theta, a_irs),
+                    composite_comm_channel(channels, theta), cfg.weights)
+        w = solve_covariance(c, cfg.p0, cfg.beampattern).w
+        egrad = euclidean_gradient(
+            theta, build_bundle(channels, a_irs, w, cfg.weights))
+        tangent = float(np.linalg.norm(project_tangent(egrad, theta)))
+        grad_norm = alternate(cfg).records[0].grad_norm
+        assert grad_norm == pytest.approx(tangent, rel=1e-12)
+        assert grad_norm < 0.9 * np.linalg.norm(egrad)
+
     def test_hit_cap_is_valid_result(self):
         trace = alternate(small_cfg(j_max=1))
         assert trace.flag == HIT_CAP
@@ -142,6 +159,20 @@ class TestConvergenceExperiment:
         trace = curve.traces[0]
         np.testing.assert_allclose(curve.mean, trace.objectives)
         assert all(s == 0.0 for s in curve.std)
+
+    def test_shorter_run_holds_its_last_objective(self):
+        def trace(objectives):
+            return ConvergenceTrace(
+                records=tuple(IterationRecord(
+                    iteration=j, objective=f, radar_snr=0.0, comm_snr=0.0,
+                    grad_norm=0.0, elapsed=0.0)
+                    for j, f in enumerate(objectives)),
+                flag=CONVERGED, theta=np.ones(1), r_w=np.eye(1))
+
+        mean, std = _aligned_stats([trace([1.0, 2.0, 3.0]),
+                                    trace([5.0, 6.0])])
+        np.testing.assert_array_equal(mean, [3.0, 4.0, 4.5])
+        np.testing.assert_array_equal(std, [2.0, 2.0, 1.5])
 
     def test_one_curve_per_alpha(self):
         result = run_convergence_experiment(

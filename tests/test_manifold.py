@@ -6,7 +6,7 @@ import pytest
 from dfrc.manifold import (ascent_step, euclidean_gradient, project_tangent,
                            retract)
 from dfrc.objective import ObjectiveBundle, eval_f1
-from dfrc.validation import finite_difference_gradient, random_bundle
+from instances import finite_difference_gradient, random_bundle
 
 
 def comm_bundle(n, ac=0.0, h=None, fw=None):
@@ -303,16 +303,35 @@ class TestFiniteDifference:
         g = finite_difference_gradient(theta, bundle, 1e-5)
         np.testing.assert_allclose(g, 2 * theta, atol=1e-8)
 
-    def test_cross_validation_many_instances(self):
-        rng = np.random.default_rng(16)
-        for _ in range(50):
+    @staticmethod
+    def worst_relative_error(seed, count, gradient):
+        """Largest ||gradient - central difference|| / ||central
+        difference|| (h = 1e-6) over `count` random instances with M in
+        1..4 and N in 2..16."""
+        rng = np.random.default_rng(seed)
+        worst = 0.0
+        for _ in range(count):
             m = int(rng.integers(1, 5))
             n = int(rng.integers(2, 17))
             bundle, theta = random_bundle(rng, m, n)
-            analytic = euclidean_gradient(theta, bundle)
             numeric = finite_difference_gradient(theta, bundle, 1e-6)
-            assert np.linalg.norm(analytic - numeric) \
-                < 1e-5 * np.linalg.norm(numeric)
+            worst = max(worst, float(
+                np.linalg.norm(gradient(theta, bundle) - numeric)
+                / np.linalg.norm(numeric)))
+        return worst
+
+    def test_cross_validation_many_instances(self):
+        for seed in (16, 2024):
+            assert self.worst_relative_error(
+                seed, 50, euclidean_gradient) < 1e-5
+
+    def test_conjugated_gradient_is_rejected(self):
+        # the oracle can fail: grad f = 2 df/d(conj theta), and its
+        # conjugate misses on the first instances of the same stream
+        def conjugated(theta, bundle):
+            return euclidean_gradient(theta, bundle).conj()
+
+        assert self.worst_relative_error(2024, 5, conjugated) >= 1e-5
 
     def test_quadratic_error_decay(self):
         rng = np.random.default_rng(17)

@@ -9,7 +9,7 @@ from dfrc.channel import (ChannelSet, composite_comm_channel,
 from dfrc.manifold import euclidean_gradient
 from dfrc.objective import (DesignWeights, build_C, build_bundle, comm_snr,
                             eval_f1, radar_snr, weighted_objective)
-from dfrc.validation import random_instance
+from instances import random_instance
 
 
 def brute_force_snr(channel, w, noise):

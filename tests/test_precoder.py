@@ -9,7 +9,7 @@ from dfrc.objective import build_C
 from dfrc.precoder import (BeampatternSpec, InfeasibleSpecError,
                            _feasibility_residuals, hermitize, matrix_sqrt,
                            project_feasible, solve_covariance)
-from dfrc.validation import sample_feasible
+from instances import sample_feasible
 
 
 def random_hermitian(rng, m):
@@ -187,6 +187,34 @@ class TestSolveCovariance:
         best = float(np.max(np.real(np.einsum("kij,ji->k", samples, c))))
         assert sol.objective >= best - 1e-4 * abs(best)
 
+    def test_two_antenna_oracles(self):
+        # M = 2, one seed-7 stream: the analytic instance C = diag(1, 0)
+        # with a wide ball, then a random C with a narrow one; each optimum
+        # beats the best of 100 000 feasible samples
+        rng = np.random.default_rng(7)
+        power = 2.0
+        c = np.diag([1.0, 0.0]).astype(complex)
+        spec = omni_spec(power, 2, 2.5)
+        sol = solve_covariance(c, power, spec)
+        bound = power * float(np.linalg.eigvalsh(c)[-1])
+        assert abs(sol.objective - bound) / bound < 1e-6
+        samples = sample_feasible(rng, spec, power, 100_000)
+        best = float(np.max(np.real(np.einsum("kij,ji->k", samples, c))))
+        assert (best - sol.objective) / abs(best) < 1e-4
+
+        z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        c_rand = z @ z.conj().T
+        spec_rand = omni_spec(power, 2, 0.8)
+        sol_rand = solve_covariance(c_rand, power, spec_rand)
+        samples = sample_feasible(rng, spec_rand, power, 100_000)
+        best = float(np.max(np.real(
+            np.einsum("kij,ji->k", samples, c_rand))))
+        assert (best - sol_rand.objective) / abs(best) < 1e-4
+
+        assert max(*_feasibility_residuals(sol.r_w, power, spec),
+                   *_feasibility_residuals(sol_rand.r_w, power,
+                                           spec_rand)) < 1e-8
+
     def test_eigenvalue_bound_when_ball_inactive(self):
         rng = np.random.default_rng(6)
         for m in (2, 3):
@@ -308,6 +336,28 @@ class TestSolveCovariance:
         sol = solve_covariance(c, 3.0, spec)
         np.testing.assert_allclose(sol.r_w, np.diag([1.5, 1.5, 0.0]),
                                    atol=1e-12)
+
+    def test_near_tied_top_eigenvalues_stay_apart(self):
+        # the two top eigenvalues of C differ by 1e-3 relative and the ball
+        # does not bind (||P0 v1 v1^H - R_d||_F <= 2 P0): the optimum is
+        # P0 v1 v1^H, not a split over both eigenvectors
+        rng = np.random.default_rng(14)
+        for m in range(2, 8):
+            power = float(10 ** rng.uniform(-2, 4))
+            r_d = random_psd(rng, m)
+            spec = BeampatternSpec(r_d=power * r_d / np.trace(r_d).real,
+                                   gamma_bp=2.0 * power)
+            q, _ = np.linalg.qr(rng.standard_normal((m, m))
+                                + 1j * rng.standard_normal((m, m)))
+            lam = rng.uniform(0.0, 1.0, m)
+            lam[-2:] = 1.5 * (1.0 - 1e-3), 1.5
+            c = (q * lam) @ q.conj().T
+            sol = solve_covariance(c, power, spec)
+            assert dual_bound(c, power, spec) - sol.objective \
+                <= 1e-9 * abs(sol.objective)
+            np.testing.assert_allclose(
+                sol.r_w, power * np.outer(q[:, -1], q[:, -1].conj()),
+                atol=1e-9 * power)
 
     @pytest.mark.parametrize("kind", ["isotropic", "steered", "rank_one",
                                       "random"])
