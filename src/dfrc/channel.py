@@ -1,4 +1,5 @@
-"""Array steering vectors, fading channel synthesis, and composite channels.
+"""Array steering vectors, fading channel synthesis, and the composite
+communication channel; the rank-one radar channel is never formed.
 
 Geometry conventions: all element spacings are expressed as a fraction of
 the carrier wavelength, so phase terms never carry an explicit lambda.
@@ -112,16 +113,6 @@ def synthesize_channels(cfg: RunConfig) -> ChannelSet:
     h = cfg.h_scale * rayleigh_channel(cfg.num_users,
                                        geometry.num_irs_elements, rng)
     return ChannelSet(G=g, F=f, H=h, eta=complex(cfg.eta))
-
-
-def composite_radar_channel(channels: ChannelSet, theta: ComplexArray,
-                            a_irs: ComplexArray) -> ComplexArray:
-    """Round-trip radar channel eta * (G^T Theta a)(a^T Theta G), rank <= 1."""
-    n, _ = channels.G.shape
-    if theta.shape != (n,) or a_irs.shape != (n,):
-        raise ValueError("theta and a_irs must be length-N vectors")
-    u = channels.G.T @ (theta * a_irs)
-    return channels.eta * np.outer(u, u)
 
 
 def composite_comm_channel(channels: ChannelSet,

@@ -4,8 +4,9 @@ plus Monte-Carlo experiment orchestration.
 Each outer iteration solves the covariance sub-problem for the current
 phase vector, rebuilds the polynomial objective coefficients, and takes
 one Riemannian ascent step along the gradient it just evaluated.  The
-loop stops when the relative change of the weighted SNR drops below the
-tolerance or the iteration cap is hit.
+solve's value phi(theta) = max_R tr(R C(theta)) is the weighted SNR, so it
+is the iteration's objective.  The loop stops when the relative change of
+phi drops below the tolerance or the iteration cap is hit.
 """
 from __future__ import annotations
 
@@ -14,12 +15,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import (composite_comm_channel, composite_radar_channel,
-                      synthesize_channels, upa_steering)
+from .channel import composite_comm_channel, synthesize_channels, \
+    upa_steering
 from .config import ComplexArray, ConfigError, RunConfig
 from .manifold import ascent_step, euclidean_gradient, project_tangent
-from .objective import build_C, build_bundle, comm_snr, radar_snr, \
-    weighted_objective
+from .objective import build_C, build_bundle, comm_snr, radar_snr
 from .precoder import solve_covariance
 
 CONVERGED = "converged"
@@ -96,14 +96,13 @@ def alternate(cfg: RunConfig) -> ConvergenceTrace:
     f_prev = None
     start = time.perf_counter()
     for j in range(cfg.j_max + 1):
-        f_r = composite_radar_channel(channels, theta, a_irs)
+        u = channels.G.T @ (theta * a_irs)
         f_c = composite_comm_channel(channels, theta)
-        c = build_C(f_r, f_c, weights)
+        c = build_C(u, channels.eta, f_c, weights)
         solution = solve_covariance(c, cfg.p0, beampattern)
-        r_w, w = solution.r_w, solution.w
-        snr_r = radar_snr(f_r, w, cfg.sigma_r_sq)
+        r_w, w, f_now = solution.r_w, solution.w, solution.objective
+        snr_r = radar_snr(u, channels.eta, w, cfg.sigma_r_sq)
         snr_c = comm_snr(f_c, w, cfg.sigma_c_sq)
-        f_now = weighted_objective(snr_r, snr_c, cfg.alpha)
         bundle = build_bundle(channels, a_irs, w, weights)
         egrad = euclidean_gradient(theta, bundle)
         rgrad = project_tangent(egrad, theta)

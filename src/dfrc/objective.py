@@ -1,4 +1,5 @@
-"""SNR objectives and the factored polynomial form in the IRS phases.
+"""SNRs, the covariance objective C, and the factored polynomial form in
+the IRS phases.
 
 The weighted objective is quartic in the phase vector theta through the
 radar path and quadratic through the communication path.  The radar has no
@@ -9,7 +10,9 @@ rank-one product a a^T of the IRS steering vector enters.  With
 
 the radar term is radar_scale * |u|^2 |s|^2 and the communication term is
 ac * |F W + E|_F^2 with ac = alpha / sigma_c^2 (E is K x M).  Evaluation
-and gradient cost O(N M (M + K)); no N x N matrix is formed.
+and gradient cost O(N M (M + K)); no N x N matrix is formed.  The radar
+channel eta u u^T enters the SNR and C only through u, so no M x M radar
+channel is formed either.
 """
 from __future__ import annotations
 
@@ -21,38 +24,27 @@ from .channel import ChannelSet
 from .config import ComplexArray, DesignWeights
 
 
-def _output_snr(channel: ComplexArray, precoder: ComplexArray,
-                noise_power: float) -> float:
-    if channel.shape[1] != precoder.shape[0]:
-        raise ValueError("channel/precoder dimension mismatch")
-    if noise_power <= 0:
-        raise ValueError("noise power must be positive")
-    return float(np.linalg.norm(channel @ precoder, "fro") ** 2 / noise_power)
-
-
-def radar_snr(f_r: ComplexArray, w: ComplexArray, sigma_r_sq: float) -> float:
-    """tr(F_r W W^H F_r^H) / sigma_r^2."""
-    return _output_snr(f_r, w, sigma_r_sq)
+def radar_snr(u: ComplexArray, eta: complex, w: ComplexArray,
+              sigma_r_sq: float) -> float:
+    """|F_r W|_F^2 / sigma_r^2 for the rank-one F_r = eta u u^T:
+    |eta|^2 |u|^2 |W^T u|^2 / sigma_r^2."""
+    return abs(eta) ** 2 * squared_norm(u) * squared_norm(w.T @ u) \
+        / sigma_r_sq
 
 
 def comm_snr(f_c: ComplexArray, w: ComplexArray, sigma_c_sq: float) -> float:
-    """tr(F_c W W^H F_c^H) / sigma_c^2."""
-    return _output_snr(f_c, w, sigma_c_sq)
+    """|F_c W|_F^2 / sigma_c^2."""
+    return squared_norm(f_c @ w) / sigma_c_sq
 
 
-def weighted_objective(snr_radar: float, snr_comm: float, alpha: float) -> float:
-    """(1-alpha)*radar + alpha*comm."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    return (1.0 - alpha) * snr_radar + alpha * snr_comm
-
-
-def build_C(f_r: ComplexArray, f_c: ComplexArray,
+def build_C(u: ComplexArray, eta: complex, f_c: ComplexArray,
             weights: DesignWeights) -> ComplexArray:
-    """Hermitian PSD matrix with tr(W W^H C) equal to the weighted objective."""
-    if f_r.shape[1] != f_c.shape[1]:
-        raise ValueError("F_r and F_c must share the antenna dimension")
-    c = ((1.0 - weights.alpha) / weights.sigma_r_sq) * (f_r.conj().T @ f_r) \
+    """Hermitian PSD matrix with tr(W W^H C) equal to the weighted SNR.
+
+    The radar gram F_r^H F_r of F_r = eta u u^T is |eta|^2 |u|^2 conj(u) u^T.
+    """
+    radar = abs(eta) ** 2 * squared_norm(u) * np.outer(u.conj(), u)
+    c = ((1.0 - weights.alpha) / weights.sigma_r_sq) * radar \
         + (weights.alpha / weights.sigma_c_sq) * (f_c.conj().T @ f_c)
     return 0.5 * (c + c.conj().T)
 
@@ -63,9 +55,9 @@ class ObjectiveBundle:
 
     f1(theta) = radar_scale |u|^2 |s|^2 + ac (|E|^2 + 2 Re<F W, E>) with
     u = G^T (a o theta), s = (G W)^T (a o theta) and E = H diag(theta) G W;
-    adding t0 = ac |F W|^2 gives the weighted SNR.  The cross term is kept
-    apart from t0 because subtracting a dominant t0 from ac |F W + E|^2
-    would lose the digits that the ascent step's acceptance test compares.
+    adding the theta-independent ac |F W|^2 gives the weighted SNR.  That
+    offset is left out because subtracting it from ac |F W + E|^2 would lose
+    the digits that the ascent step's acceptance test compares.
     """
 
     a: ComplexArray          # IRS steering vector toward the target, N
@@ -73,7 +65,6 @@ class ObjectiveBundle:
     GW: ComplexArray         # G @ W, N x M
     H: ComplexArray          # IRS -> users, K x N
     FW: ComplexArray         # F @ W, K x M
-    t0: float                # theta-independent offset ac |F W|^2
     radar_scale: float       # (1-alpha)|eta|^2 / sigma_r^2
     ac: float                # alpha / sigma_c^2
 
@@ -87,13 +78,11 @@ def build_bundle(channels: ChannelSet, a_irs: ComplexArray,
         raise ValueError("a_irs must be a length-N vector")
     if w.shape[0] != m:
         raise ValueError("precoder row count must match radar antennas")
-    ac = weights.alpha / weights.sigma_c_sq
-    fw = f @ w
     radar_scale = (1.0 - weights.alpha) * abs(channels.eta) ** 2 \
         / weights.sigma_r_sq
-    return ObjectiveBundle(a=a_irs, G=g, GW=g @ w, H=h, FW=fw,
-                           t0=ac * squared_norm(fw),
-                           radar_scale=radar_scale, ac=ac)
+    return ObjectiveBundle(a=a_irs, G=g, GW=g @ w, H=h, FW=f @ w,
+                           radar_scale=radar_scale,
+                           ac=weights.alpha / weights.sigma_c_sq)
 
 
 def squared_norm(z: ComplexArray) -> float:
@@ -110,7 +99,7 @@ def phase_factors(theta: ComplexArray, bundle: ObjectiveBundle
 
 
 def eval_f1(theta: ComplexArray, bundle: ObjectiveBundle) -> float:
-    """Polynomial objective (weighted SNR minus the constant offset t0)."""
+    """Polynomial objective: the weighted SNR minus ac |F W|^2."""
     u, s, e = phase_factors(theta, bundle)
     comm = squared_norm(e) + 2.0 * float(np.real(np.vdot(bundle.FW, e)))
     return bundle.radar_scale * squared_norm(u) * squared_norm(s) \

@@ -8,7 +8,8 @@ explicit N x N coefficients:
 
 with R = a a^T and Z_ij = R o (G w_j g_i^T)^T.  The factored form in
 dfrc.objective must agree with it; this module is what it is checked
-against, and the tests that read D1, v or the Z stack run on it.
+against, and the tests that read D1, v or the Z stack run on it.  The
+weighted SNR is also formed here through the dense M x M radar channel.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dfrc.channel import ChannelSet
+from dfrc.channel import ChannelSet, composite_comm_channel
 from dfrc.objective import DesignWeights
 
 
@@ -70,3 +71,19 @@ def euclidean_gradient(theta: np.ndarray, bundle: DenseBundle) -> np.ndarray:
     b = bundle.R.conj() * (bundle.G.conj() @ h @ bundle.GW.conj().T)
     quartic = 2.0 * bundle.radar_scale * ((b + b.T) @ theta.conj())
     return quartic + 2.0 * (bundle.D1 @ theta) + 2.0 * bundle.v.conj()
+
+
+def composite_radar_channel(channels: ChannelSet, theta: np.ndarray,
+                            a_irs: np.ndarray) -> np.ndarray:
+    """Round-trip radar channel eta (G^T Theta a)(a^T Theta G), M x M."""
+    u = channels.G.T @ (theta * a_irs)
+    return channels.eta * np.outer(u, u)
+
+
+def weighted_snr(channels: ChannelSet, a_irs: np.ndarray, w: np.ndarray,
+                 weights: DesignWeights, theta: np.ndarray) -> float:
+    """(1-alpha) |F_r W|^2 / sigma_r^2 + alpha |F_c W|^2 / sigma_c^2."""
+    radar = np.linalg.norm(composite_radar_channel(channels, theta, a_irs) @ w)
+    comm = np.linalg.norm(composite_comm_channel(channels, theta) @ w)
+    return (1.0 - weights.alpha) * radar ** 2 / weights.sigma_r_sq \
+        + weights.alpha * comm ** 2 / weights.sigma_c_sq

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from dense_reference import composite_radar_channel
 from dfrc.channel import (ChannelSet, SystemGeometry, composite_comm_channel,
-                          composite_radar_channel, los_component,
-                          rayleigh_channel, rician_channel,
+                          los_component, rayleigh_channel, rician_channel,
                           synthesize_channels, ula_steering, upa_steering)
 from dfrc.config import parse_config
 
@@ -116,6 +116,8 @@ class TestChannelSet:
 
 
 class TestCompositeRadar:
+    # the dense M x M oracle that the factored radar SNR and C are checked
+    # against
     def test_zero_eta_gives_zero(self):
         ch = small_channels(eta=0.0)
         theta = np.exp(1j * np.linspace(0, 1, 4))
@@ -144,12 +146,6 @@ class TestCompositeRadar:
         a = upa_steering(geom(n_y=2, n_x=2))
         f_r = composite_radar_channel(ch, theta, a)
         assert np.max(np.abs(f_r - f_r.T)) < 1e-12 * np.max(np.abs(f_r))
-
-    def test_dimension_mismatch(self):
-        ch = small_channels()
-        with pytest.raises(ValueError):
-            composite_radar_channel(ch, np.ones(3, dtype=complex),
-                                    np.ones(4, dtype=complex))
 
 
 class TestCompositeComm:
@@ -197,3 +193,24 @@ class TestSynthesis:
         assert ch.G.shape == (6, 5)
         assert ch.F.shape == (4, 5)
         assert ch.H.shape == (4, 6)
+
+    def test_draw_order_is_g_then_f_then_h(self):
+        # each Rayleigh block is (re + j im)/sqrt(2), re and im drawn in
+        # turn from default_rng(seed): G's scatter first, then F, then H
+        cfg = synthesis_cfg(m=3, n_y=2, n_x=2, num_users=2, seed=7)
+        rng = np.random.default_rng(7)
+
+        def scatter(rows, cols):
+            re = rng.standard_normal((rows, cols))
+            return (re + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2)
+
+        los = los_component(cfg.geometry, cfg.los_radar_angle,
+                            cfg.los_irs_azimuth, cfg.los_irs_elevation)
+        k = cfg.k_g
+        g = cfg.g_scale * (np.sqrt(k / (1 + k)) * los
+                           + np.sqrt(1 / (1 + k)) * scatter(4, 3))
+        f, h = cfg.f_scale * scatter(2, 3), cfg.h_scale * scatter(2, 4)
+        ch = synthesize_channels(cfg)
+        np.testing.assert_allclose(ch.G, g, rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(ch.F, f)
+        np.testing.assert_array_equal(ch.H, h)

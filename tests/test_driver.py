@@ -3,10 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dfrc.channel import ChannelSet, composite_comm_channel, \
-    composite_radar_channel, upa_steering
+from dfrc.channel import composite_comm_channel, synthesize_channels, \
+    upa_steering
 from dfrc.config import parse_config
-from dfrc.channel import synthesize_channels
 from dfrc.driver import (CONVERGED, HIT_CAP, ConvergenceTrace,
                          IterationRecord, _aligned_stats, alternate,
                          initial_theta, run_convergence_experiment,
@@ -89,9 +88,8 @@ class TestAlternate:
         for _ in range(5):
             theta = np.exp(1j * rng.uniform(
                 0, 2 * np.pi, cfg.geometry.num_irs_elements))
-            f_r = composite_radar_channel(channels, theta, a_irs)
-            f_c = composite_comm_channel(channels, theta)
-            c = build_C(f_r, f_c, cfg.weights)
+            c = build_C(channels.G.T @ (theta * a_irs), channels.eta,
+                        composite_comm_channel(channels, theta), cfg.weights)
             solution = solve_covariance(c, cfg.p0, cfg.beampattern)
             if r_prev is not None:
                 kept = float(np.real(np.trace(r_prev @ c)))
@@ -135,7 +133,7 @@ class TestAlternate:
         channels = synthesize_channels(cfg)
         a_irs = upa_steering(cfg.geometry)
         theta = initial_theta(cfg)
-        c = build_C(composite_radar_channel(channels, theta, a_irs),
+        c = build_C(channels.G.T @ (theta * a_irs), channels.eta,
                     composite_comm_channel(channels, theta), cfg.weights)
         w = solve_covariance(c, cfg.p0, cfg.beampattern).w
         egrad = euclidean_gradient(
@@ -149,6 +147,22 @@ class TestAlternate:
         trace = alternate(small_cfg(j_max=1))
         assert trace.flag == HIT_CAP
         assert len(trace.records) == 2
+
+    @pytest.mark.parametrize("sets", [[], ["eta=1e-2"]],
+                             ids=["table1", "balanced"])
+    def test_objective_is_the_weighted_sum_of_the_snrs(self, sets):
+        # the objective is the covariance solve's value, and the SNRs are
+        # formed from W and the factors: this relation ties them together
+        cfg = parse_config("table1", sets)
+        for r in alternate(cfg).records:
+            weighted = (1 - cfg.alpha) * r.radar_snr + cfg.alpha * r.comm_snr
+            assert r.objective == pytest.approx(weighted, rel=1e-12)
+
+    def test_random_initial_phases_follow_the_seed(self):
+        cfg = small_cfg(theta_init="random", seed=5)
+        rng = np.random.default_rng([5, 0x7E7A])
+        expect = np.exp(1j * rng.uniform(0.0, 2 * np.pi, 4))
+        np.testing.assert_array_equal(initial_theta(cfg), expect)
 
 
 class TestConvergenceExperiment:
@@ -225,14 +239,22 @@ class TestPowerSweep:
         theta = base.theta
         channels = synthesize_channels(cfg)
         a_irs = upa_steering(cfg.geometry)
-        f_r = composite_radar_channel(channels, theta, a_irs)
-        f_c = composite_comm_channel(channels, theta)
-        c = build_C(f_r, f_c, cfg.weights)
+        c = build_C(channels.G.T @ (theta * a_irs), channels.eta,
+                    composite_comm_channel(channels, theta), cfg.weights)
         base_obj = solve_covariance(c, cfg.p0, cfg.beampattern).objective
         scaled = replace(cfg, p0=4 * cfg.p0, gamma_bp=4 * cfg.gamma_bp)
         scaled_obj = solve_covariance(c, scaled.p0,
                                       scaled.beampattern).objective
         assert scaled_obj / base_obj == pytest.approx(4.0, rel=0.05)
+
+    def test_std_is_the_population_std_of_the_finals(self):
+        cfg = small_cfg(j_max=20, sweep_p0=10, sweep_m=3, sweep_n=4,
+                        num_realizations=3)
+        curve = run_power_sweep(cfg).curves[0]
+        finals = np.array([t.final_objective for t in curve.traces])
+        spread = np.sqrt(np.mean((finals - finals.mean()) ** 2))
+        assert spread > 0.0
+        assert curve.std[0] == pytest.approx(spread, rel=1e-12)
 
     def test_rejects_empty_sweep(self):
         with pytest.raises(ValueError):

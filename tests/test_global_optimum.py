@@ -15,8 +15,8 @@ import itertools
 import numpy as np
 import pytest
 
-from dfrc.channel import composite_comm_channel, composite_radar_channel, \
-    synthesize_channels, upa_steering
+from dfrc.channel import composite_comm_channel, synthesize_channels, \
+    upa_steering
 from dfrc.config import parse_config
 from dfrc.driver import alternate
 from dfrc.objective import build_C
@@ -64,7 +64,7 @@ def test_stationary_run_reaches_grid_maximum(scenario, seed):
     # the closed form agrees with the solver at the grid's best point
     ch, a = synthesize_channels(cfg), upa_steering(cfg.geometry)
     theta = thetas[best]
-    c = build_C(composite_radar_channel(ch, theta, a),
+    c = build_C(ch.G.T @ (theta * a), ch.eta,
                 composite_comm_channel(ch, theta), cfg.weights)
     solved = solve_covariance(c, cfg.p0, cfg.beampattern).objective
     assert solved == pytest.approx(values[best], rel=1e-9)

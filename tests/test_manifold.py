@@ -17,8 +17,8 @@ def comm_bundle(n, ac=0.0, h=None, fw=None):
     fw = np.zeros((h.shape[0], 1), dtype=complex) if fw is None else fw
     return ObjectiveBundle(
         a=np.ones(n, dtype=complex), G=np.zeros((n, 1), dtype=complex),
-        GW=np.ones((n, 1), dtype=complex), H=h, FW=fw, t0=0.0,
-        radar_scale=0.0, ac=ac)
+        GW=np.ones((n, 1), dtype=complex), H=h, FW=fw, radar_scale=0.0,
+        ac=ac)
 
 
 def unit_theta(rng, n):

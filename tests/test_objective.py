@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import dense_reference as ref
-from dfrc.channel import (ChannelSet, composite_comm_channel,
-                          composite_radar_channel)
+from dfrc.channel import ChannelSet, composite_comm_channel
 from dfrc.manifold import euclidean_gradient
+from dfrc.config import ConfigError, parse_config
 from dfrc.objective import (DesignWeights, build_C, build_bundle, comm_snr,
-                            eval_f1, radar_snr, weighted_objective)
+                            eval_f1, radar_snr, squared_norm)
 from instances import random_instance
 
 
@@ -21,73 +21,81 @@ def brute_force_snr(channel, w, noise):
     return total / noise
 
 
+def offset(bundle):
+    """The theta-independent ac |F W|^2 that eval_f1 leaves out."""
+    return bundle.ac * squared_norm(bundle.FW)
+
+
 class TestSnrs:
     def test_zero_precoder(self):
-        f = np.random.default_rng(0).standard_normal((3, 3)) + 0j
-        assert radar_snr(f, np.zeros((3, 3), dtype=complex), 1.0) == 0.0
-        assert comm_snr(f, np.zeros((3, 3), dtype=complex), 1.0) == 0.0
+        rng = np.random.default_rng(0)
+        f = rng.standard_normal((3, 3)) + 0j
+        u = rng.standard_normal(3) + 0j
+        zero = np.zeros((3, 3), dtype=complex)
+        assert radar_snr(u, 1.0, zero, 1.0) == 0.0
+        assert comm_snr(f, zero, 1.0) == 0.0
 
     def test_identity_case(self):
         eye = np.eye(4, dtype=complex)
-        assert radar_snr(eye, eye, 1.0) == pytest.approx(4.0)
+        # |u|^2 |W^T u|^2 = 4 * 4 for u = 1 and W = I
+        assert radar_snr(np.ones(4, dtype=complex), 1.0, eye, 1.0) \
+            == pytest.approx(16.0)
         assert comm_snr(eye, eye, 1.0) == pytest.approx(4.0)
 
     def test_matches_elementwise_sum(self):
-        rng = np.random.default_rng(1)
-        f = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        w = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        expect = brute_force_snr(f, w, 1.7)
-        assert radar_snr(f, w, 1.7) == pytest.approx(expect, rel=1e-10)
+        # the radar SNR on the factors against the dense M x M channel
+        ch, a, w, wt, th = random_instance(np.random.default_rng(1), 3, 5, 2)
+        f_r = ref.composite_radar_channel(ch, th, a)
+        u = ch.G.T @ (a * th)
+        assert radar_snr(u, ch.eta, w, 1.7) \
+            == pytest.approx(brute_force_snr(f_r, w, 1.7), rel=1e-10)
+        f_c = composite_comm_channel(ch, th)
+        assert comm_snr(f_c, w, 1.7) \
+            == pytest.approx(brute_force_snr(f_c, w, 1.7), rel=1e-10)
 
     def test_rejects_bad_noise(self):
-        with pytest.raises(ValueError):
-            radar_snr(np.eye(2, dtype=complex), np.eye(2, dtype=complex), 0.0)
-
-
-class TestWeightedObjective:
-    def test_endpoints(self):
-        assert weighted_objective(4.0, 2.0, 0.0) == 4.0
-        assert weighted_objective(4.0, 2.0, 1.0) == 2.0
-
-    def test_midpoint(self):
-        assert weighted_objective(4.0, 2.0, 0.5) == 3.0
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            weighted_objective(1.0, 1.0, 1.5)
+        # the SNRs divide by the noise powers that RunConfig has checked
+        for key in ("sigma_r_sq", "sigma_c_sq"):
+            with pytest.raises(ConfigError, match=f"^{key} = 0.0: must be"):
+                parse_config("table1", [f"{key}=0"])
 
 
 class TestBuildC:
     def test_comm_only_identity(self):
         eye = np.eye(3, dtype=complex)
-        c = build_C(np.zeros((3, 3), dtype=complex), eye,
+        c = build_C(np.zeros(3, dtype=complex), 1.0, eye,
                     DesignWeights(alpha=1.0, sigma_r_sq=1.0, sigma_c_sq=1.0))
         np.testing.assert_allclose(c, eye)
 
     def test_radar_only_rank_one(self):
         rng = np.random.default_rng(2)
         u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        f_r = np.outer(u, u)
-        c = build_C(f_r, np.zeros((2, 3), dtype=complex),
+        c = build_C(u, 1.0, np.zeros((2, 3), dtype=complex),
                     DesignWeights(alpha=0.0, sigma_r_sq=1.0, sigma_c_sq=1.0))
         assert np.linalg.matrix_rank(c, tol=1e-10) == 1
 
+    def test_radar_gram_matches_dense_channel(self):
+        ch, a, _, _, th = random_instance(np.random.default_rng(15), 4, 6, 2)
+        f_r = ref.composite_radar_channel(ch, th, a)
+        c = build_C(ch.G.T @ (a * th), ch.eta, np.zeros((2, 4), dtype=complex),
+                    DesignWeights(alpha=0.0, sigma_r_sq=1.0, sigma_c_sq=1.0))
+        np.testing.assert_allclose(c, f_r.conj().T @ f_r, rtol=1e-12,
+                                   atol=1e-12 * np.abs(c).max())
+
     def test_psd(self):
         rng = np.random.default_rng(3)
-        f_r = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        u = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         f_c = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-        c = build_C(f_r, f_c, DesignWeights(0.4, 1.3, 0.7))
+        c = build_C(u, 0.3 - 1.2j, f_c, DesignWeights(0.4, 1.3, 0.7))
         eig = np.linalg.eigvalsh(c)
         assert eig[0] >= -1e-10 * eig[-1]
 
     def test_trace_consistency_with_weighted_objective(self):
         rng = np.random.default_rng(4)
         ch, a, w, wt, th = random_instance(rng, 3, 6, 2)
-        f_r = composite_radar_channel(ch, th, a)
-        f_c = composite_comm_channel(ch, th)
-        c = build_C(f_r, f_c, wt)
-        direct = weighted_objective(radar_snr(f_r, w, wt.sigma_r_sq),
-                                    comm_snr(f_c, w, wt.sigma_c_sq), wt.alpha)
+        c = build_C(ch.G.T @ (a * th), ch.eta, composite_comm_channel(ch, th),
+                    wt)
+        direct = ref.weighted_snr(ch, a, w, wt, th)
         via_trace = float(np.real(np.trace(w @ w.conj().T @ c)))
         assert via_trace == pytest.approx(direct, rel=1e-10)
 
@@ -126,12 +134,6 @@ class TestBundle:
         bundle = build_bundle(ch, a, w, DesignWeights(1.0, 1.0, 1.0))
         assert bundle.radar_scale == 0.0
 
-    def test_t0_nonnegative(self):
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            ch, a, w, wt, _ = random_instance(rng, 3, 6, 2)
-            assert build_bundle(ch, a, w, wt).t0 >= 0.0
-
 
 class TestFactoredForm:
     def test_matches_dense_reference(self):
@@ -151,7 +153,7 @@ class TestFactoredForm:
             worst_g = max(worst_g, float(
                 np.linalg.norm(euclidean_gradient(th, bundle) - g_ref)
                 / np.linalg.norm(g_ref)))
-            assert bundle.t0 == pytest.approx(dense.t0, rel=1e-12)
+            assert offset(bundle) == pytest.approx(dense.t0, rel=1e-12)
         assert worst_f <= 1e-12 and worst_g <= 1e-12
 
     def test_no_n_by_n_field(self):
@@ -164,13 +166,6 @@ class TestFactoredForm:
         assert set(arrays) == {"a", "G", "GW", "H", "FW"}
         assert all(x.shape != (n, n) and x.size < n * n
                    for x in arrays.values())
-
-
-def matrix_form_objective(ch, a, w, wt, theta):
-    f_r = composite_radar_channel(ch, theta, a)
-    f_c = composite_comm_channel(ch, theta)
-    return weighted_objective(radar_snr(f_r, w, wt.sigma_r_sq),
-                              comm_snr(f_c, w, wt.sigma_c_sq), wt.alpha)
 
 
 class TestEvalF1:
@@ -188,7 +183,7 @@ class TestEvalF1:
         # H = I, GW = 1 and FW = 0 give ac |E|^2 = ac theta^H theta
         patched = replace(bundle, H=np.eye(n, dtype=complex),
                           GW=np.ones((n, 1), dtype=complex),
-                          FW=np.zeros((n, 1), dtype=complex), t0=0.0,
+                          FW=np.zeros((n, 1), dtype=complex),
                           radar_scale=0.0, ac=1.0)
         assert eval_f1(th, patched) == pytest.approx(n, rel=1e-12)
 
@@ -200,15 +195,15 @@ class TestEvalF1:
             k = int(rng.integers(1, 5))
             ch, a, w, wt, th = random_instance(rng, m, n, k)
             bundle = build_bundle(ch, a, w, wt)
-            direct = matrix_form_objective(ch, a, w, wt, th)
-            assert abs(eval_f1(th, bundle) + bundle.t0 - direct) \
+            direct = ref.weighted_snr(ch, a, w, wt, th)
+            assert abs(eval_f1(th, bundle) + offset(bundle) - direct) \
                 <= 1e-9 * max(1.0, abs(direct))
 
     def test_power_scaling_is_quadratic(self):
         rng = np.random.default_rng(12)
         ch, a, w, wt, th = random_instance(rng, 3, 8, 2)
-        base = matrix_form_objective(ch, a, w, wt, th)
-        scaled = matrix_form_objective(ch, a, 2.5 * w, wt, th)
+        base = ref.weighted_snr(ch, a, w, wt, th)
+        scaled = ref.weighted_snr(ch, a, 2.5 * w, wt, th)
         assert scaled == pytest.approx(2.5 ** 2 * base, rel=1e-10)
         b1 = build_bundle(ch, a, w, wt)
         b2 = build_bundle(ch, a, 2.5 * w, wt)
@@ -223,7 +218,8 @@ class TestEvalF1:
                                eta=ch.eta)
         b1 = build_bundle(ch, a, w, wt)
         b2 = build_bundle(perturbed, a, w, wt)
-        assert abs((eval_f1(th, b1) + b1.t0) - (eval_f1(th, b2) + b2.t0)) \
+        assert abs((eval_f1(th, b1) + offset(b1))
+                   - (eval_f1(th, b2) + offset(b2))) \
             < 1e-12 * max(1.0, abs(eval_f1(th, b1)))
 
     def test_t2_real_from_hermitian_d1(self):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from dfrc import precoder
-from dfrc.channel import (composite_comm_channel, composite_radar_channel,
-                          synthesize_channels, ula_steering, upa_steering)
+from dfrc.channel import (composite_comm_channel, synthesize_channels,
+                          ula_steering, upa_steering)
 from dfrc.config import parse_config
 from dfrc.objective import build_C
 from dfrc.precoder import (BeampatternSpec, InfeasibleSpecError,
@@ -294,7 +294,7 @@ class TestSolveCovariance:
         for _ in range(3):
             theta = np.exp(1j * rng.uniform(
                 0, 2 * np.pi, cfg.geometry.num_irs_elements))
-            c = build_C(composite_radar_channel(channels, theta, a_irs),
+            c = build_C(channels.G.T @ (theta * a_irs), channels.eta,
                         composite_comm_channel(channels, theta), cfg.weights)
             projection_calls.clear()
             sol = solve_covariance(c, cfg.p0, cfg.beampattern)
@@ -313,9 +313,9 @@ class TestSolveCovariance:
         cfg = parse_config("table1")
         channels = synthesize_channels(cfg)
         theta = np.ones(cfg.geometry.num_irs_elements, dtype=complex)
-        c = build_C(composite_radar_channel(channels, theta,
-                                            upa_steering(cfg.geometry)),
-                    composite_comm_channel(channels, theta), cfg.weights)
+        c = build_C(channels.G.T @ (theta * upa_steering(cfg.geometry)),
+                    channels.eta, composite_comm_channel(channels, theta),
+                    cfg.weights)
         g = cfg.geometry
         a = ula_steering(g.num_radar_antennas, g.radar_spacing,
                          g.target_azimuth)
