@@ -91,7 +91,8 @@ def rician_channel(los: ComplexArray, k_factor: float,
 def los_component(geometry: SystemGeometry, radar_departure_angle: float,
                   irs_arrival_azimuth: float,
                   irs_arrival_elevation: float) -> ComplexArray:
-    """Rank-one LOS matrix for the radar->IRS link (N x M, unit-modulus)."""
+    """Rank-one LOS matrix outer(a_irs(az, el), a_radar), with no conjugate,
+    for the radar->IRS link (N x M, unit-modulus)."""
     a_irs = upa_steering(geometry, irs_arrival_azimuth, irs_arrival_elevation)
     a_radar = ula_steering(geometry.num_radar_antennas,
                            geometry.radar_spacing, radar_departure_angle)

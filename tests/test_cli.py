@@ -153,6 +153,46 @@ class TestParseConfig:
         assert code == 2
         assert f"config error: {key} = " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("item, bound", [
+        ("m=0", 1), ("n_x=0", 1), ("n_y=0", 1), ("num_users=0", 1),
+        ("k_g=-0.1", 0)])
+    def test_channel_sizes_and_rician_factor(self, item, bound):
+        # channel synthesis draws its sizes and Rician factor unchecked
+        key, text = item.split("=")
+        with pytest.raises(ConfigError,
+                           match=f"^{key} = {text}: must be >= {bound}$"):
+            parse_config("table1", [item])
+
+    @pytest.mark.parametrize("rel, loads", [(1e-5, False), (1e-7, True)],
+                             ids=["off_1e-5", "off_1e-7"])
+    def test_r_d_trace_tolerance(self, rel, loads, tmp_path):
+        # table1 has m = 8 and p0 = 1000; the trace may be off by 1e-6
+        # relative
+        r_d = 125.0 * (1.0 + rel) * np.eye(8)
+        assert_r_d_loads(tmp_path, r_d, loads, "has trace")
+
+    @pytest.mark.parametrize("rel, loads", [(1e-6, False), (1e-11, True)],
+                             ids=["off_1e-6", "off_1e-11"])
+    def test_r_d_hermitian_tolerance(self, rel, loads, tmp_path):
+        # a non-Hermitian part of rel * p0 in one off-diagonal entry, with
+        # the trace unchanged, against the certificate's 1e-9 * p0
+        r_d = 125.0 * np.eye(8, dtype=complex)
+        r_d[0, 1] += rel * 1000.0
+        assert_r_d_loads(tmp_path, r_d, loads, "not Hermitian")
+
+
+def assert_r_d_loads(tmp_path, r_d, loads, why):
+    """parse_config of table1 with r_d read from a file loads r_d as saved,
+    or raises a ConfigError that says why."""
+    path = tmp_path / "r_d.npy"
+    np.save(path, r_d)
+    if loads:
+        cfg = parse_config("table1", [f"r_d_path={path}"])
+        np.testing.assert_array_equal(cfg.r_d, r_d)
+    else:
+        with pytest.raises(ConfigError, match=why):
+            parse_config("table1", [f"r_d_path={path}"])
+
 
 def run_cli(*argv):
     return cli.main(list(argv))
