@@ -65,8 +65,6 @@ def upa_steering(geometry: SystemGeometry,
 def rayleigh_channel(rows: int, cols: int,
                      rng: np.random.Generator) -> ComplexArray:
     """I.i.d. circularly symmetric complex Gaussian entries, unit variance."""
-    if rows < 1 or cols < 1:
-        raise ValueError("rows and cols must be >= 1")
     re = rng.standard_normal((rows, cols))
     im = rng.standard_normal((rows, cols))
     return (re + 1j * im) / np.sqrt(2.0)
@@ -79,8 +77,6 @@ def rician_channel(los: ComplexArray, k_factor: float,
     k_factor is the linear-scale Rician factor (LOS/NLOS power ratio);
     per-entry average power stays 1 for any k_factor >= 0.
     """
-    if k_factor < 0:
-        raise ValueError("Rician factor must be >= 0")
     if np.isinf(k_factor):
         return los.astype(np.complex128, copy=True)
     nlos = rayleigh_channel(*los.shape, rng=rng)
@@ -119,7 +115,4 @@ def synthesize_channels(cfg: RunConfig) -> ChannelSet:
 def composite_comm_channel(channels: ChannelSet,
                            theta: ComplexArray) -> ComplexArray:
     """Effective downlink channel F + H Theta G."""
-    n, _ = channels.G.shape
-    if theta.shape != (n,):
-        raise ValueError("theta must be a length-N vector")
     return channels.F + (channels.H * theta) @ channels.G

@@ -10,7 +10,6 @@ phi drops below the tolerance or the iteration cap is hit.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,7 +32,6 @@ class IterationRecord:
     radar_snr: float
     comm_snr: float
     grad_norm: float
-    elapsed: float
 
 
 @dataclass(frozen=True)
@@ -94,7 +92,6 @@ def alternate(cfg: RunConfig) -> ConvergenceTrace:
     records: list[IterationRecord] = []
     flag = HIT_CAP
     f_prev = None
-    start = time.perf_counter()
     for j in range(cfg.j_max + 1):
         u = channels.G.T @ (theta * a_irs)
         f_c = composite_comm_channel(channels, theta)
@@ -108,16 +105,14 @@ def alternate(cfg: RunConfig) -> ConvergenceTrace:
         rgrad = project_tangent(egrad, theta)
         records.append(IterationRecord(
             iteration=j, objective=f_now, radar_snr=snr_r, comm_snr=snr_c,
-            grad_norm=float(np.linalg.norm(rgrad)),
-            elapsed=time.perf_counter() - start))
+            grad_norm=float(np.linalg.norm(rgrad))))
         if f_prev is not None and \
                 abs(f_now - f_prev) <= cfg.epsilon * abs(f_prev):
             flag = CONVERGED
             break
         f_prev = f_now
-        if j == cfg.j_max:
-            break
-        theta, kappa = ascent_step(theta, bundle, kappa, egrad)
+        if j < cfg.j_max:
+            theta, kappa = ascent_step(theta, bundle, kappa, egrad)
     return ConvergenceTrace(records=tuple(records), flag=flag,
                             theta=theta, r_w=r_w)
 

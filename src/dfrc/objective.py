@@ -39,14 +39,13 @@ def comm_snr(f_c: ComplexArray, w: ComplexArray, sigma_c_sq: float) -> float:
 
 def build_C(u: ComplexArray, eta: complex, f_c: ComplexArray,
             weights: DesignWeights) -> ComplexArray:
-    """Hermitian PSD matrix with tr(W W^H C) equal to the weighted SNR.
-
-    The radar gram F_r^H F_r of F_r = eta u u^T is |eta|^2 |u|^2 conj(u) u^T.
+    """PSD matrix C with tr(W W^H C) equal to the weighted SNR, Hermitian up
+    to round-off; solve_covariance hermitizes it.  The radar gram F_r^H F_r
+    of F_r = eta u u^T is |eta|^2 |u|^2 conj(u) u^T.
     """
     radar = abs(eta) ** 2 * squared_norm(u) * np.outer(u.conj(), u)
-    c = ((1.0 - weights.alpha) / weights.sigma_r_sq) * radar \
+    return ((1.0 - weights.alpha) / weights.sigma_r_sq) * radar \
         + (weights.alpha / weights.sigma_c_sq) * (f_c.conj().T @ f_c)
-    return 0.5 * (c + c.conj().T)
 
 
 @dataclass(frozen=True)
@@ -73,11 +72,6 @@ def build_bundle(channels: ChannelSet, a_irs: ComplexArray,
                  w: ComplexArray, weights: DesignWeights) -> ObjectiveBundle:
     """Assemble the objective factors for a fixed precoder W."""
     g, f, h = channels.G, channels.F, channels.H
-    n, m = g.shape
-    if a_irs.shape != (n,):
-        raise ValueError("a_irs must be a length-N vector")
-    if w.shape[0] != m:
-        raise ValueError("precoder row count must match radar antennas")
     radar_scale = (1.0 - weights.alpha) * abs(channels.eta) ** 2 \
         / weights.sigma_r_sq
     return ObjectiveBundle(a=a_irs, G=g, GW=g @ w, H=h, FW=f @ w,

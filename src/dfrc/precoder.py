@@ -109,8 +109,6 @@ def solve_covariance(c: ComplexArray, power: float,
     R_d, gamma_bp), which keeps the SNRs homogeneous of degree 2.  The
     result is certified feasible before W is formed from its eigenpairs.
     """
-    if power <= 0:
-        raise ValueError("power budget must be positive")
     if not trace_matches(spec.r_d, power):
         raise InfeasibleSpecError(
             f"tr(R_d) = {float(np.trace(spec.r_d).real):.6g} does not match "

@@ -80,6 +80,9 @@ MUTANTS = [
     ("src/dfrc/config.py", "_CERTIFY_RTOL = 1e-9", "_CERTIFY_RTOL = 1e-3",
      "tests/test_cli.py::TestParseConfig"
      "::test_r_d_hermitian_tolerance[off_1e-6]"),
+    # the iteration cap is the loop's one stop besides convergence
+    ("src/dfrc/driver.py", "range(cfg.j_max + 1)", "range(cfg.j_max + 2)",
+     "tests/test_driver.py::TestAlternate::test_hit_cap_is_valid_result"),
 ]
 
 

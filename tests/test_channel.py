@@ -62,10 +62,6 @@ class TestRayleigh:
         h = rayleigh_channel(1, 1, np.random.default_rng(0))
         assert h.shape == (1, 1)
 
-    def test_rejects_bad_size(self):
-        with pytest.raises(ValueError):
-            rayleigh_channel(0, 3, np.random.default_rng(0))
-
 
 class TestRician:
     def test_infinite_factor_is_pure_los(self):
@@ -91,11 +87,6 @@ class TestRician:
             0, 2 * np.pi, (1000, 1000)))
         out = rician_channel(los, k_factor, np.random.default_rng(11))
         assert abs(np.mean(np.abs(out) ** 2) - 1.0) < 0.01
-
-    def test_rejects_negative_factor(self):
-        with pytest.raises(ValueError):
-            rician_channel(np.ones((2, 2), dtype=complex), -0.1,
-                           np.random.default_rng(0))
 
 
 def small_channels(seed=0, n=4, m=3, k=2, eta=1.0 + 0j):

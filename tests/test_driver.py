@@ -179,7 +179,7 @@ class TestConvergenceExperiment:
             return ConvergenceTrace(
                 records=tuple(IterationRecord(
                     iteration=j, objective=f, radar_snr=0.0, comm_snr=0.0,
-                    grad_norm=0.0, elapsed=0.0)
+                    grad_norm=0.0)
                     for j, f in enumerate(objectives)),
                 flag=CONVERGED, theta=np.ones(1), r_w=np.eye(1))
 
