@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, NoReturn
 from .config import ConfigError, format_config, parse_config
 
 if TYPE_CHECKING:
-    from .driver import ExperimentResult
+    from .driver import Curve
 
 SCHEMA_VERSION = 1
 
@@ -36,18 +36,18 @@ def _git_describe() -> str:
     return "unknown"
 
 
-def emit_results(result: ExperimentResult, out_dir: str | Path,
+def emit_results(kind: str, curves: tuple[Curve, ...], out_dir: str | Path,
                  config_text: str, seed: int,
                  wall_clock: float) -> list[Path]:
-    """Write one CSV per curve plus a JSON manifest; CSV bytes depend only
-    on the result contents."""
+    """Write one CSV per curve, named after the command ``kind``, plus a
+    JSON manifest; CSV bytes depend only on the curves."""
     import json
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
         written: list[Path] = []
-        for curve in result.curves:
-            path = out / f"{result.kind}_{curve.label}.csv"
+        for curve in curves:
+            path = out / f"{kind}_{curve.label}.csv"
             rows = ["param,iteration,mean,std"]
             for x, mean, std in zip(curve.x, curve.mean, curve.std):
                 rows.append(f"{curve.label},{x!r},{mean!r},{std!r}")
@@ -55,7 +55,7 @@ def emit_results(result: ExperimentResult, out_dir: str | Path,
             written.append(path)
         manifest = {
             "schema_version": SCHEMA_VERSION,
-            "kind": result.kind,
+            "kind": kind,
             "config": config_text,
             "seed": seed,
             "git_describe": _git_describe(),
@@ -105,15 +105,15 @@ def main(argv: list[str] | None = None) -> int:
         from . import driver
         start = time.perf_counter()
         if args.command == "converge":
-            result = driver.run_convergence_experiment(cfg)
+            curves = driver.run_convergence_experiment(cfg)
         else:  # sweep
-            result = driver.run_power_sweep(cfg)
+            curves = driver.run_power_sweep(cfg)
         wall = time.perf_counter() - start
-        files = emit_results(result, args.out, format_config(cfg),
-                             cfg.seed, wall)
+        files = emit_results(args.command, curves, args.out,
+                             format_config(cfg), cfg.seed, wall)
         for path in files:
             print(path)
-        runs = [t for curve in result.curves for t in curve.traces]
+        runs = [t for curve in curves for t in curve.traces]
         capped = sum(t.flag == driver.HIT_CAP for t in runs)
         if capped:
             print(f"warning: {capped} of {len(runs)} runs stopped at "

@@ -27,7 +27,6 @@ HIT_CAP = "hit_cap"
 
 @dataclass(frozen=True)
 class IterationRecord:
-    iteration: int
     objective: float
     radar_snr: float
     comm_snr: float
@@ -36,7 +35,7 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class ConvergenceTrace:
-    """Per-iteration history of one alternating run."""
+    """Per-iteration history of one run: records[j] is iteration j."""
 
     records: tuple[IterationRecord, ...]
     flag: str
@@ -53,7 +52,7 @@ class ConvergenceTrace:
 
     @property
     def iterations_to_converge(self) -> int:
-        return self.records[-1].iteration
+        return len(self.records) - 1
 
 
 @dataclass(frozen=True)
@@ -66,12 +65,6 @@ class Curve:
     mean: tuple[float, ...]
     std: tuple[float, ...]
     traces: tuple[ConvergenceTrace, ...]
-
-
-@dataclass(frozen=True)
-class ExperimentResult:
-    kind: str
-    curves: tuple[Curve, ...]
 
 
 def initial_theta(cfg: RunConfig) -> ComplexArray:
@@ -104,7 +97,7 @@ def alternate(cfg: RunConfig) -> ConvergenceTrace:
         egrad = euclidean_gradient(theta, bundle)
         rgrad = project_tangent(egrad, theta)
         records.append(IterationRecord(
-            iteration=j, objective=f_now, radar_snr=snr_r, comm_snr=snr_c,
+            objective=f_now, radar_snr=snr_r, comm_snr=snr_c,
             grad_norm=float(np.linalg.norm(rgrad))))
         if f_prev is not None and \
                 abs(f_now - f_prev) <= cfg.epsilon * abs(f_prev):
@@ -135,7 +128,7 @@ def _aligned_stats(traces: list[ConvergenceTrace]) -> tuple[np.ndarray,
     return grid.mean(axis=0), grid.std(axis=0)
 
 
-def run_convergence_experiment(cfg: RunConfig) -> ExperimentResult:
+def run_convergence_experiment(cfg: RunConfig) -> tuple[Curve, ...]:
     """Convergence curves (objective vs iteration) for each of ``alphas``
     (or ``alpha`` alone), averaged over ``num_realizations`` channels."""
     curves = []
@@ -147,7 +140,7 @@ def run_convergence_experiment(cfg: RunConfig) -> ExperimentResult:
                             mean=tuple(float(v) for v in mean),
                             std=tuple(float(v) for v in std),
                             traces=tuple(traces)))
-    return ExperimentResult(kind="converge", curves=tuple(curves))
+    return tuple(curves)
 
 
 def _factor_grid(n: int) -> tuple[int, int]:
@@ -159,7 +152,7 @@ def _factor_grid(n: int) -> tuple[int, int]:
     return best, n // best
 
 
-def run_power_sweep(cfg: RunConfig) -> ExperimentResult:
+def run_power_sweep(cfg: RunConfig) -> tuple[Curve, ...]:
     """Converged weighted SNR versus each ``sweep_p0`` power for every
     (M, N) pair of ``sweep_m`` x ``sweep_n``."""
     if cfg.r_d_path:
@@ -183,4 +176,4 @@ def run_power_sweep(cfg: RunConfig) -> ExperimentResult:
                                 x=tuple(float(p) for p in cfg.sweep_p0),
                                 mean=tuple(means), std=tuple(stds),
                                 traces=tuple(all_traces)))
-    return ExperimentResult(kind="sweep", curves=tuple(curves))
+    return tuple(curves)

@@ -48,7 +48,7 @@ def run_fingerprint(overrides: list[str], seed: int) -> dict:
 
 
 def sweep_fingerprint(overrides: list[str]) -> dict:
-    (curve,) = run_power_sweep(parse_config("table1", overrides)).curves
+    (curve,) = run_power_sweep(parse_config("table1", overrides))
     return {"mean": list(curve.mean), "std": list(curve.std)}
 
 

@@ -124,11 +124,11 @@ def test_criterion_5_convergence_experiment():
     start = time.perf_counter()
     cfg = parse_config("table1", [  # M=8, N=64, j_max=500
         "num_realizations=20", "alphas=0.1,0.5,0.9"])
-    result = run_convergence_experiment(cfg)
+    curves = run_convergence_experiment(cfg)
     all_converged = all(t.flag == CONVERGED
-                        for c in result.curves for t in c.traces)
+                        for c in curves for t in c.traces)
     all_gained = all(t.final_objective > t.objectives[0]
-                     for c in result.curves for t in c.traces)
+                     for c in curves for t in c.traces)
     # on table1 every alpha below 1 reaches the same SNRs in the same
     # number of iterations, so the ordering is taken at eta = 0.01, where
     # the radar and communication terms are comparable
@@ -136,7 +136,7 @@ def test_criterion_5_convergence_experiment():
         "eta=0.01", "num_realizations=20", "alphas=0.1,0.9"]))
     median = {c.param: float(np.median([t.iterations_to_converge
                                         for t in c.traces]))
-              for c in balanced.curves}
+              for c in balanced}
     ordering = median[0.1] <= median[0.9]
     elapsed = time.perf_counter() - start
     report("criterion 5 (convergence experiment)",
@@ -208,11 +208,11 @@ def test_criterion_8_csv_determinism(tmp_path):
 def alpha_tradeoff(cfg) -> tuple[np.ndarray, np.ndarray]:
     """Mean final SNR_r and SNR_c in dB over 10 seeds, at each alpha of
     0, 0.1, ..., 1."""
-    result = run_convergence_experiment(replace(
+    curves = run_convergence_experiment(replace(
         cfg, alphas=tuple(i / 10 for i in range(11)), num_realizations=10))
     snr_db = np.array([[[10 * math.log10(t.records[-1].radar_snr),
                          10 * math.log10(t.records[-1].comm_snr)]
-                        for t in curve.traces] for curve in result.curves])
+                        for t in curve.traces] for curve in curves])
     means = snr_db.mean(axis=1)
     return means[:, 0], means[:, 1]
 
@@ -242,7 +242,7 @@ def irs_gains(overrides: list[str]) -> np.ndarray:
     optimised for the random phases, before any phase step."""
     cfg = parse_config("table1", [*overrides, "theta_init=random",
                                   "num_realizations=20"])
-    (curve,) = run_convergence_experiment(cfg).curves
+    (curve,) = run_convergence_experiment(cfg)
     return np.array([[10 * math.log10(t.records[-1].radar_snr
                                       / t.records[0].radar_snr),
                       10 * math.log10(t.records[-1].comm_snr

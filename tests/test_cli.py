@@ -573,8 +573,5 @@ class TestBenchmarkContract:
 
 class TestEmitResults:
     def test_empty_result_manifest_only(self, tmp_path):
-        from dfrc.driver import ExperimentResult
-        files = cli.emit_results(ExperimentResult(kind="converge",
-                                                  curves=()),
-                                 tmp_path, "cfg", 0, 1.0)
+        files = cli.emit_results("converge", (), tmp_path, "cfg", 0, 1.0)
         assert [p.name for p in files] == ["manifest.json"]

@@ -30,13 +30,13 @@ class TestAlternate:
         cfg = small_cfg(alpha=1, h_scale=0)
         trace = alternate(cfg)
         assert trace.flag == CONVERGED
-        assert trace.records[-1].iteration <= 2
+        assert trace.iterations_to_converge <= 2
 
     def test_table1_scale_run_terminates(self):
         cfg = parse_config("table1", ["j_max=40"])
         trace = alternate(cfg)
         assert trace.flag in (CONVERGED, HIT_CAP)
-        assert trace.records[-1].iteration <= 40
+        assert trace.iterations_to_converge <= 40
         assert len(trace.records) <= 41
 
     def test_table1_runs_converge_monotonically(self):
@@ -63,9 +63,9 @@ class TestAlternate:
         a, b = alternate(cfg), alternate(cfg)
         for ra, rb in zip(a.records, b.records):
             # everything except wall-clock must match bit-for-bit
-            assert (ra.iteration, ra.objective, ra.radar_snr, ra.comm_snr,
-                    ra.grad_norm) == (rb.iteration, rb.objective,
-                                      rb.radar_snr, rb.comm_snr, rb.grad_norm)
+            assert (ra.objective, ra.radar_snr, ra.comm_snr,
+                    ra.grad_norm) == (rb.objective, rb.radar_snr,
+                                      rb.comm_snr, rb.grad_norm)
         np.testing.assert_array_equal(a.theta, b.theta)
         np.testing.assert_array_equal(a.r_w, b.r_w)
 
@@ -168,8 +168,7 @@ class TestAlternate:
 class TestConvergenceExperiment:
     def test_single_realization_stats(self):
         cfg = small_cfg(j_max=15, num_realizations=1, alphas=0.5)
-        result = run_convergence_experiment(cfg)
-        curve = result.curves[0]
+        curve = run_convergence_experiment(cfg)[0]
         trace = curve.traces[0]
         np.testing.assert_allclose(curve.mean, trace.objectives)
         assert all(s == 0.0 for s in curve.std)
@@ -178,9 +177,8 @@ class TestConvergenceExperiment:
         def trace(objectives):
             return ConvergenceTrace(
                 records=tuple(IterationRecord(
-                    iteration=j, objective=f, radar_snr=0.0, comm_snr=0.0,
-                    grad_norm=0.0)
-                    for j, f in enumerate(objectives)),
+                    objective=f, radar_snr=0.0, comm_snr=0.0, grad_norm=0.0)
+                    for f in objectives),
                 flag=CONVERGED, theta=np.ones(1), r_w=np.eye(1))
 
         mean, std = _aligned_stats([trace([1.0, 2.0, 3.0]),
@@ -189,14 +187,13 @@ class TestConvergenceExperiment:
         np.testing.assert_array_equal(std, [2.0, 2.0, 1.5])
 
     def test_one_curve_per_alpha(self):
-        result = run_convergence_experiment(
+        curves = run_convergence_experiment(
             small_cfg(j_max=5, num_realizations=2, alphas="0.2,0.8"))
-        assert [c.param for c in result.curves] == [0.2, 0.8]
+        assert [c.param for c in curves] == [0.2, 0.8]
 
     def test_smaller_alpha_not_slower_majority(self):
         cfg = small_cfg(j_max=120, num_realizations=6, alphas="0.1,0.9")
-        result = run_convergence_experiment(cfg)
-        fast, slow = result.curves
+        fast, slow = run_convergence_experiment(cfg)
         wins = sum(a.iterations_to_converge <= b.iterations_to_converge
                    for a, b in zip(fast.traces, slow.traces))
         assert wins >= len(fast.traces) / 2
@@ -204,8 +201,7 @@ class TestConvergenceExperiment:
     def test_mean_curve_smoothed_nondecreasing(self):
         cfg = parse_config("table1", ["j_max=60", "num_realizations=4",
                                       "alphas=0.5"])
-        result = run_convergence_experiment(cfg)
-        mean = np.array(result.curves[0].mean)
+        mean = np.array(run_convergence_experiment(cfg)[0].mean)
         kernel = np.ones(5) / 5
         smooth = np.convolve(mean, kernel, mode="valid")
         assert np.all(np.diff(smooth) >= -0.05 * np.abs(smooth[:-1]))
@@ -220,15 +216,13 @@ class TestPowerSweep:
     def test_more_irs_elements_win(self):
         cfg = small_cfg(j_max=60, sweep_p0=10, sweep_m=3, sweep_n="4,9",
                         num_realizations=4)
-        result = run_power_sweep(cfg)
-        by_n = {c.param: c.mean[0] for c in result.curves}
+        by_n = {c.param: c.mean[0] for c in run_power_sweep(cfg)}
         assert by_n[(3, 9)] > by_n[(3, 4)]
 
     def test_more_antennas_win(self):
         cfg = small_cfg(j_max=60, sweep_p0=10, sweep_m="2,4", sweep_n=9,
                         num_realizations=4)
-        result = run_power_sweep(cfg)
-        by_m = {c.param: c.mean[0] for c in result.curves}
+        by_m = {c.param: c.mean[0] for c in run_power_sweep(cfg)}
         assert by_m[(4, 9)] > by_m[(2, 9)]
 
     def test_power_homogeneity_at_fixed_final_theta(self):
@@ -250,7 +244,7 @@ class TestPowerSweep:
     def test_std_is_the_population_std_of_the_finals(self):
         cfg = small_cfg(j_max=20, sweep_p0=10, sweep_m=3, sweep_n=4,
                         num_realizations=3)
-        curve = run_power_sweep(cfg).curves[0]
+        curve = run_power_sweep(cfg)[0]
         finals = np.array([t.final_objective for t in curve.traces])
         spread = np.sqrt(np.mean((finals - finals.mean()) ** 2))
         assert spread > 0.0
