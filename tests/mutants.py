@@ -7,6 +7,12 @@ Run from anywhere, with pytest installed:
     python tests/mutants.py
 
 The name does not match ``test_*.py``, so pytest does not collect it.
+
+One mutant is equivalent and has no entry: ``> 0`` to ``>= 0`` in
+``precoder.project_feasible``'s simplex count.  A term that is exactly 0
+at index k+1 means the (k+1)-th eigenvalue equals the threshold
+tau_k = mean_k - power/k, so tau_(k+1) = tau_k and both counts give the
+same projection; d = (2, 0) with power 2 gives lambda = (2, 0) either way.
 """
 from __future__ import annotations
 
@@ -36,6 +42,9 @@ MUTANTS = [
     ("src/dfrc/precoder.py", "_TIE_RTOL = 1e-6", "_TIE_RTOL = 1e-2",
      "tests/test_precoder.py::TestSolveCovariance"
      "::test_near_tied_top_eigenvalues_stay_apart"),
+    ("src/dfrc/precoder.py", "_TIE_RTOL = 1e-6", "_TIE_RTOL = 0.0",
+     "tests/test_precoder.py::TestSolveCovariance"
+     "::test_top_eigenvalues_tied_to_round_off"),
     ("src/dfrc/channel.py",
      "    f = cfg.f_scale * rayleigh_channel(cfg.num_users, cfg.m, rng)\n"
      "    h = cfg.h_scale * rayleigh_channel(cfg.num_users,\n"
@@ -83,6 +92,11 @@ MUTANTS = [
     # the iteration cap is the loop's one stop besides convergence
     ("src/dfrc/driver.py", "range(cfg.j_max + 1)", "range(cfg.j_max + 2)",
      "tests/test_driver.py::TestAlternate::test_hit_cap_is_valid_result"),
+    # a candidate that ties the objective is kept
+    ("src/dfrc/manifold.py", "if eval_f1(candidate, bundle) >= f_old:",
+     "if eval_f1(candidate, bundle) > f_old:",
+     "tests/test_manifold.py::TestAscentStep"
+     "::test_candidate_that_ties_the_objective_is_kept"),
 ]
 
 

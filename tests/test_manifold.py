@@ -286,6 +286,21 @@ class TestAscentStep:
                                euclidean_gradient(theta, bundle))
         assert kappa == 2.0 ** 29
 
+    def test_candidate_that_ties_the_objective_is_kept(self, monkeypatch):
+        # the acceptance test is "does not fall": on a constant objective
+        # the first candidate is kept; a strict test would reject every
+        # candidate and drive kappa to the cap with theta put
+        from dfrc import manifold
+        rng = np.random.default_rng(23)
+        bundle, theta = random_bundle(rng, 2, 6)
+        grad = euclidean_gradient(theta, bundle)
+        monkeypatch.setattr(manifold, "eval_f1", lambda x, b: 1.0)
+        moved, kappa = ascent_step(theta, bundle, 1.0, grad)
+        assert kappa == 0.5
+        scale = np.linalg.norm(grad) / np.sqrt(6)
+        np.testing.assert_array_equal(moved,
+                                      retract(theta, grad, 0.5 / scale))
+
     def test_zero_element_is_rejected_not_raised(self):
         # f1 = -theta^H theta is constant on the circle; its gradient
         # -2 theta sends theta_i + t g_i to exactly 0 at kappa = 0.5

@@ -359,6 +359,23 @@ class TestSolveCovariance:
                 sol.r_w, power * np.outer(q[:, -1], q[:, -1].conj()),
                 atol=1e-9 * power)
 
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_top_eigenvalues_tied_to_round_off(self, m):
+        # C = Q diag(1, 1, 0, ...) Q^H ties its top two eigenvalues only to
+        # round-off.  The ball does not bind, P0 v1 v1^H lies outside it and
+        # the optimum is the face point (P0/2) U U^H; without the tie
+        # tolerance the ball search climbs to s ~ 1e15, where the
+        # projection loses the trace: 15 of the 40 raise, 20 end elsewhere
+        spec = BeampatternSpec(r_d=np.eye(m, dtype=complex), gamma_bp=3.0)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            q, _ = np.linalg.qr(rng.standard_normal((m, m))
+                                + 1j * rng.standard_normal((m, m)))
+            u = q[:, :2]
+            sol = solve_covariance(u @ u.conj().T, float(m), spec)
+            np.testing.assert_allclose(sol.r_w, (m / 2) * u @ u.conj().T,
+                                       atol=1e-9 * m)
+
     @pytest.mark.parametrize("kind", ["isotropic", "steered", "rank_one",
                                       "random"])
     def test_weak_duality_oracle(self, kind):
