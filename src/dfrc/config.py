@@ -9,7 +9,9 @@ values, so one made by ``dataclasses.replace`` is checked too.  The
 built-in preset ``table1`` carries the reference simulation parameters.
 
 This is the bottom layer: it imports nothing numerical at module level,
-so parsing and printing a config load no numpy.
+so parsing and printing a config load no numpy.  A desired covariance
+named by ``r_d_path`` is read and checked in plain Python too; numpy
+loads only when ``RunConfig.beampattern`` builds the solver's array.
 """
 from __future__ import annotations
 
@@ -82,7 +84,8 @@ class RunConfig:
     The fields up to ``sweep_n`` are the config keys in their linear
     spelling, in ``print-config`` order; each annotation says how the key's
     text is parsed.  ``r_d`` is not a key: it holds the matrix loaded from
-    ``r_d_path``, or None for the isotropic (p0/m)*I.  Construction, also
+    ``r_d_path`` as a tuple of rows, or None for the isotropic (p0/m)*I;
+    ``beampattern`` makes either one an array.  Construction, also
     through ``dataclasses.replace``, raises ConfigError for a value out of
     range.
     """
@@ -118,7 +121,8 @@ class RunConfig:
     sweep_p0: tuple[float, ...]
     sweep_m: tuple[int, ...]
     sweep_n: tuple[int, ...]
-    r_d: ComplexArray | None = field(default=None, compare=False, repr=False)
+    r_d: tuple[tuple[complex, ...], ...] | None = field(
+        default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         """Reject values outside the domain of the runs."""
@@ -187,10 +191,11 @@ class RunConfig:
 
     @property
     def beampattern(self) -> BeampatternSpec:
-        r_d = self.r_d
-        if r_d is None:
-            import numpy as np
+        import numpy as np
+        if self.r_d is None:
             r_d = (self.p0 / self.m) * np.eye(self.m, dtype=complex)
+        else:
+            r_d = np.array(self.r_d, dtype=complex)
         return BeampatternSpec(r_d=r_d, gamma_bp=self.gamma_bp)
 
 
@@ -302,41 +307,99 @@ def _read_file(path: str | Path) -> _Values:
     return values
 
 
-def trace_matches(r_d: ComplexArray, power: float) -> bool:
+def trace_matches(trace: float, power: float) -> bool:
     """Whether tr(R_d) equals the power budget to the solver's tolerance."""
-    trace_rd = float(r_d.trace().real)
-    return abs(trace_rd - power) <= _TRACE_RTOL * max(1.0, abs(power))
+    return abs(trace - power) <= _TRACE_RTOL * max(1.0, abs(power))
 
 
-def load_r_d(path: str, p0: float, m: int) -> ComplexArray:
+def load_r_d(path: str, p0: float,
+             m: int) -> tuple[tuple[complex, ...], ...]:
     """Desired covariance from a .npy file: an m x m Hermitian PSD matrix
-    with trace p0, which the covariance solve needs."""
-    import numpy as np
+    with trace p0, which the covariance solve needs, as rows of complex.
+
+    The file is read with the standard library alone: header versions
+    1.0-3.0, C or Fortran order, either byte order, and the numeric dtypes
+    np.save writes, b1, i1-i8, u1-u8, f2, f4, f8, c8 and c16.
+    """
+    import ast
+    import struct
+
+    def bad(why: str) -> ConfigError:
+        return ConfigError(f"r_d_path = {path!r}: {why}")
+
     try:
-        r_d = np.load(path)
-    except (OSError, ValueError, EOFError) as exc:
-        raise ConfigError(f"r_d_path = {path!r}: {exc}") from exc
-    if not isinstance(r_d, np.ndarray):  # an .npz archive
-        raise ConfigError(f"r_d_path = {path!r}: not a .npy array")
-    if r_d.dtype.kind not in "biufc":
-        raise ConfigError(f"r_d_path = {path!r}: {r_d.dtype} is not a "
-                          f"numeric dtype")
-    if r_d.shape != (m, m):
-        raise ConfigError(f"r_d_path matrix must be {m}x{m}, "
-                          f"got {r_d.shape}")
-    r_d = np.asarray(r_d, dtype=complex)
-    if not trace_matches(r_d, p0):
-        raise ConfigError(
-            f"r_d_path matrix has trace {np.trace(r_d).real:.6g}, "
-            f"but p0 is {p0:.6g}")
-    # Hermitian and PSD to the covariance solve's certificate tolerance
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise bad(str(exc)) from exc
+    if data.startswith(b"PK\x03\x04"):  # a zip, such as an .npz archive
+        raise bad("not a .npy array")
+    if len(data) < 12 or not data.startswith(b"\x93NUMPY") \
+            or data[6] not in (1, 2, 3) or data[7] != 0:
+        raise bad("not a .npy file")
+    # version 1.0 has a 2-byte header length, 2.0 and 3.0 a 4-byte one
+    start = 10 if data[6] == 1 else 12
+    (size,) = struct.unpack_from("<H" if data[6] == 1 else "<I", data, 8)
+    try:
+        header = ast.literal_eval(data[start:start + size].decode(
+            "utf-8" if data[6] == 3 else "latin-1"))
+    except (ValueError, SyntaxError, TypeError, MemoryError,
+            RecursionError) as exc:
+        raise bad(f"unreadable .npy header: {exc}") from exc
+    if not (isinstance(header, dict)
+            and header.keys() == {"descr", "fortran_order", "shape"}
+            and isinstance(header["fortran_order"], bool)
+            and isinstance(header["shape"], tuple)
+            and all(isinstance(n, int) for n in header["shape"])):
+        raise bad(f"malformed .npy header {header!r}")
+    descr, shape = header["descr"], header["shape"]
+    # descr is a byte order and a kind with its size; complex is two floats
+    codes = {"b1": "?", "i1": "b", "i2": "h", "i4": "i", "i8": "q",
+             "u1": "B", "u2": "H", "u4": "I", "u8": "Q", "f2": "e",
+             "f4": "f", "f8": "d", "c8": "f", "c16": "d"}
+    if not isinstance(descr, str) or descr[:1] not in ("<", ">", "|") \
+            or descr[1:] not in codes:
+        raise bad(f"{descr!r} is not a numeric dtype np.save writes (b1, "
+                  f"i1-i8, u1-u8, f2, f4, f8, c8 or c16)")
+    if shape != (m, m):
+        raise ConfigError(f"r_d_path matrix must be {m}x{m}, got {shape}")
+    parts = 2 if descr[1] == "c" else 1
+    order = ">" if descr[0] == ">" else "<"
+    offset, need = start + size, m * m * int(descr[2:])
+    if len(data) - offset < need:
+        raise bad(f"data cut off at {len(data) - offset} of {need} bytes")
+    flat = struct.unpack_from(f"{order}{parts * m * m}{codes[descr[1:]]}",
+                              data, offset)
+    values = [complex(*flat[k:k + parts])
+              for k in range(0, len(flat), parts)]
+    # row i is every m-th value of a column-major file
+    r_d = tuple(tuple(values[i::m] if header["fortran_order"]
+                      else values[i * m:(i + 1) * m]) for i in range(m))
+    trace = math.fsum(r_d[i][i].real for i in range(m))
+    if not trace_matches(trace, p0):
+        raise ConfigError(f"r_d_path matrix has trace {trace:.6g}, "
+                          f"but p0 is {p0:.6g}")
+    # Hermitian and PSD to the covariance solve's certificate tolerance;
+    # a non-finite entry fails the first test
     tol = _CERTIFY_RTOL * max(1.0, p0)
-    if np.linalg.norm(r_d - r_d.conj().T) > tol:
-        raise ConfigError(f"r_d_path = {path!r}: matrix is not Hermitian")
-    min_eig = float(np.linalg.eigvalsh(r_d)[0])
-    if min_eig < -tol:
-        raise ConfigError(f"r_d_path = {path!r}: matrix is not PSD "
-                          f"(smallest eigenvalue {min_eig:.3g})")
+    if not math.hypot(*(abs(r_d[i][j] - r_d[j][i].conjugate())
+                        for i in range(m) for j in range(m))) <= tol:
+        raise bad("matrix is not Hermitian")
+    # R_d + tol I has a Cholesky factor, read from the lower triangle,
+    # exactly when the smallest eigenvalue of R_d is above -tol
+    factor: list[list[complex]] = []
+    for i, row in enumerate(r_d):
+        lower: list[complex] = []
+        for j, above in enumerate(factor):
+            lower.append((row[j] - sum(x * y.conjugate()
+                                       for x, y in zip(lower, above)))
+                         / above[j])
+        pivot = row[i].real + tol - sum(x.real ** 2 + x.imag ** 2
+                                        for x in lower)
+        if not pivot > 0:
+            raise bad(f"matrix is not PSD (smallest eigenvalue below "
+                      f"{-tol:.3g})")
+        lower.append(complex(math.sqrt(pivot)))
+        factor.append(lower)
     return r_d
 
 

@@ -109,10 +109,10 @@ def solve_covariance(c: ComplexArray, power: float,
     R_d, gamma_bp), which keeps the SNRs homogeneous of degree 2.  The
     result is certified feasible before W is formed from its eigenpairs.
     """
-    if not trace_matches(spec.r_d, power):
+    trace_rd = float(np.trace(spec.r_d).real)
+    if not trace_matches(trace_rd, power):
         raise InfeasibleSpecError(
-            f"tr(R_d) = {float(np.trace(spec.r_d).real):.6g} does not match "
-            f"the budget {power:.6g}")
+            f"tr(R_d) = {trace_rd:.6g} does not match the budget {power:.6g}")
     c = hermitize(c)
     m = c.shape[0]
     scale = max(1.0, power)

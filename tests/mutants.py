@@ -89,6 +89,19 @@ MUTANTS = [
     ("src/dfrc/config.py", "_CERTIFY_RTOL = 1e-9", "_CERTIFY_RTOL = 1e-3",
      "tests/test_cli.py::TestParseConfig"
      "::test_r_d_hermitian_tolerance[off_1e-6]"),
+    # the .npy reader's layout, against np.load, and its PSD test: a
+    # Fortran-order complex R_d read as C is its conjugate, and without
+    # the shift a rank-one R_d has a zero pivot
+    ("src/dfrc/config.py", 'values[i::m] if header["fortran_order"]',
+     "values[i::m] if False",
+     "tests/test_cli.py::TestRDFile::test_reads_every_layout_as_numpy_does"),
+    ("src/dfrc/config.py", 'order = ">" if descr[0] == ">" else "<"',
+     'order = "<"',
+     "tests/test_cli.py::TestRDFile::test_reads_every_layout_as_numpy_does"),
+    ("src/dfrc/config.py", "row[i].real + tol - sum(",
+     "row[i].real - sum(",
+     "tests/test_cli.py::TestRDFile::test_psd_decision_matches_eigvalsh"
+     "[beam]"),
     # the iteration cap is the loop's one stop besides convergence
     ("src/dfrc/driver.py", "range(cfg.j_max + 1)", "range(cfg.j_max + 2)",
      "tests/test_driver.py::TestAlternate::test_hit_cap_is_valid_result"),

@@ -1,5 +1,6 @@
 import gc
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -192,6 +193,86 @@ def assert_r_d_loads(tmp_path, r_d, loads, why):
     else:
         with pytest.raises(ConfigError, match=why):
             parse_config("table1", [f"r_d_path={path}"])
+
+
+class TestRDFile:
+    # a .npy file is read without numpy; np.load is the reference
+    def test_reads_every_layout_as_numpy_does(self, tmp_path):
+        # each numeric dtype np.save writes, in C and Fortran order, both
+        # byte orders and header versions 1.0-3.0; each matrix is Hermitian
+        # and diagonally dominant, so PSD, and p0 is its trace
+        rng = np.random.default_rng(8)
+        m = 4
+        for code, fortran, order, version in itertools.product(
+                ["b1", "i1", "i2", "i4", "i8", "u1", "u2", "u4", "u8",
+                 "f2", "f4", "f8", "c8", "c16"],
+                [False, True], "<>", [(1, 0), (2, 0), (3, 0)]):
+            x = rng.integers(0, 4, (m, m)) if code[0] in "biu" \
+                else rng.standard_normal((m, m))
+            if code[0] == "c":
+                x = x + 1j * rng.standard_normal((m, m))
+            r_d = x + x.conj().T
+            r_d = r_d + (np.abs(r_d).sum() + 1.0) * np.eye(m)
+            if code == "b1":
+                r_d = np.eye(m)
+            dtype = np.dtype(order + code)
+            saved = r_d.astype(dtype, order="F" if fortran else "C")
+            assert saved.flags.f_contiguous == fortran
+            path = tmp_path / f"{code}_{fortran}_{order}_{version[0]}.npy"
+            with open(path, "wb") as f:
+                np.lib.format.write_array(f, saved, version=version)
+            expected = np.load(path).astype(complex)
+            p0 = float(np.trace(expected).real)
+            cfg = parse_config("table1", [f"m={m}", f"p0={p0!r}",
+                                          f"r_d_path={path}"])
+            np.testing.assert_array_equal(cfg.r_d, expected,
+                                          err_msg=path.name)
+
+    @pytest.mark.parametrize("smallest", [2.0, 0.5, 0.0, -0.5, -2.0, None],
+                             ids=["plus_2tol", "plus_half_tol", "zero",
+                                  "minus_half_tol", "minus_2tol", "beam"])
+    def test_psd_decision_matches_eigvalsh(self, smallest, tmp_path):
+        # table1 has m = 8 and p0 = 1000, so the PSD tolerance is 1e-6;
+        # R_d = Q diag(lam) Q^H has smallest eigenvalue smallest * 1e-6,
+        # and the rank-one pure beam (p0/m) a a^H has seven zeros
+        tol = 1e-9 * 1000.0
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            if smallest is None:
+                a = np.exp(1j * rng.uniform(0.0, 2 * np.pi, 8))
+                r_d = 125.0 * np.outer(a, a.conj())
+            else:
+                q, _ = np.linalg.qr(rng.standard_normal((8, 8))
+                                    + 1j * rng.standard_normal((8, 8)))
+                lam = rng.uniform(0.0, 1.0, 8)
+                lam[0] = 0.0
+                lam *= 1000.0 / lam.sum()
+                lam[0] = smallest * tol
+                r_d = (q * lam) @ q.conj().T
+            r_d = 0.5 * (r_d + r_d.conj().T)
+            loads = bool(np.linalg.eigvalsh(r_d)[0] >= -tol)
+            assert loads == (smallest is None or smallest > -1.0)
+            assert_r_d_loads(tmp_path, r_d, loads, "not PSD")
+
+    def test_every_cut_of_a_file_is_config_error(self, tmp_path):
+        path = tmp_path / "r_d.npy"
+        np.save(path, 125.0 * np.eye(8, dtype=complex))
+        data = path.read_bytes()
+        for size in range(len(data)):
+            path.write_bytes(data[:size])
+            with pytest.raises(ConfigError, match="^r_d_path = "):
+                parse_config("table1", [f"r_d_path={path}"])
+
+    def test_r_d_cannot_be_written_in_place(self, tmp_path):
+        path = tmp_path / "r_d.npy"
+        np.save(path, 125.0 * np.eye(8))
+        cfg = parse_config("table1", [f"r_d_path={path}"])
+        with pytest.raises(TypeError):
+            cfg.r_d[0][0] = 0.0
+        # the solver's array is a copy
+        cfg.beampattern.r_d[0, 0] = 0.0
+        np.testing.assert_array_equal(cfg.beampattern.r_d,
+                                      125.0 * np.eye(8))
 
 
 def run_cli(*argv):
@@ -411,19 +492,45 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and str(path) in err
 
-    @pytest.mark.parametrize("name", ["nope.npy", "archive.npz",
-                                      "strings.npy"])
+    @pytest.mark.parametrize("name", [
+        "nope.npy", "archive.npz", "strings.npy", "empty.npy", "cut.npy",
+        "header.npy", "objects.npy", "cube.npy", "longdouble.npy",
+        "clongdouble.npy", "nan.npy"])
     def test_unreadable_r_d_file_is_config_error(self, name, tmp_path,
                                                   capsys):
+        # a malformed file exits 2, never 3 (runtime error)
         path = tmp_path / name
+        r_d = 125.0 * np.eye(8)  # trace matches table1's p0=1000
         if name.endswith(".npz"):
-            np.savez(path, r_d=np.eye(8))
+            np.savez(path, r_d=r_d)
         elif name == "strings.npy":
             np.save(path, np.full((8, 8), "x"))
+        elif name == "empty.npy":
+            path.write_bytes(b"")
+        elif name in ("cut.npy", "header.npy"):
+            np.save(path, r_d)
+            data = path.read_bytes()
+            # cut inside the data, or 'False' spelled as an expression
+            path.write_bytes(data[:-8] if name == "cut.npy"
+                             else data.replace(b"False", b"not 1", 1))
+        elif name == "objects.npy":
+            np.save(path, np.full((8, 8), None, dtype=object))
+        elif name == "cube.npy":
+            np.save(path, np.ones((2, 2, 2)))
+        elif name.endswith("longdouble.npy"):  # f16 or c32
+            if np.dtype(np.longdouble).itemsize == 8:
+                pytest.skip("longdouble is double on this platform")
+            np.save(path, r_d.astype(np.clongdouble if name[0] == "c"
+                                     else np.longdouble))
+        elif name == "nan.npy":
+            r_d[5, 0] = np.nan  # the lower triangle eigvalsh reads
+            np.save(path, r_d)
         assert run_cli("print-config", "--config", "table1",
                        "--set", f"r_d_path={path}") == 2
-        assert capsys.readouterr().err.startswith(
-            f"config error: r_d_path = {str(path)!r}: ")
+        prefix = ("config error: r_d_path matrix must be 8x8, got (2, 2, 2)"
+                  if name == "cube.npy"
+                  else f"config error: r_d_path = {str(path)!r}: ")
+        assert capsys.readouterr().err.startswith(prefix)
 
     def test_r_d_trace_mismatch_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "r_d.npy"
@@ -461,17 +568,29 @@ class TestCommands:
 
 
 class TestStartUp:
-    def test_config_commands_load_no_numerical_module(self):
-        # import dfrc, print-config and a config error resolve text only;
-        # numpy and the driver load when a command computes
+    def test_config_commands_load_no_numerical_module(self, tmp_path):
+        # import dfrc, print-config and a config error resolve text only,
+        # also with R_d read from a file; numpy and the driver load when a
+        # command computes
         heavy = ("numpy", "dfrc.driver")
+        good, bad = tmp_path / "good.npy", tmp_path / "bad.npy"
+        np.save(good, 125.0 * np.eye(8))  # trace matches table1's p0=1000
+        r_d = 125.0 * np.eye(8)
+        r_d[0, 1] = r_d[1, 0] = 200.0  # eigenvalue 125 - 200 < 0
+        np.save(bad, r_d)
         steps = [
             "import dfrc",
             "from dfrc.cli import main\n"
             "assert main(['print-config', '--config', 'table1']) == 0",
             "from dfrc.cli import main\n"
             "assert main(['converge', '--config', 'table1', '--set',"
-            " 'alpha=2', '--out', 'unused']) == 2"]
+            " 'alpha=2', '--out', 'unused']) == 2",
+            "from dfrc.cli import main\n"
+            "assert main(['print-config', '--config', 'table1', '--set',"
+            f" {f'r_d_path={good}'!r}]) == 0",
+            "from dfrc.cli import main\n"
+            "assert main(['converge', '--config', 'table1', '--set',"
+            f" {f'r_d_path={bad}'!r}, '--out', 'unused']) == 2"]
         env = src_env()
         for step in steps:
             script = (f"import sys\n{step}\n"
@@ -483,18 +602,19 @@ class TestStartUp:
             assert out.stdout.splitlines()[-1] == "[]", step
 
     def test_r_d_file_loads_no_solver(self, tmp_path):
-        # reading R_d needs numpy, but its checks live in the config layer
+        # R_d is read and checked in the config layer, without numpy
         path = tmp_path / "r_d.npy"
         np.save(path, 125.0 * np.eye(8))  # trace matches table1's p0=1000
         script = ("import sys\n"
                   "from dfrc.config import parse_config\n"
-                  f"parse_config('table1', ['r_d_path={path}'])\n"
-                  "print('dfrc.precoder' in sys.modules)")
+                  f"parse_config('table1', [{f'r_d_path={path}'!r}])\n"
+                  "print([m for m in ('numpy', 'dfrc.precoder')"
+                  " if m in sys.modules])")
         out = subprocess.run([sys.executable, "-c", script],
                              capture_output=True, text=True, env=src_env(),
                              timeout=60)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines()[-1] == "False"
+        assert out.stdout.splitlines()[-1] == "[]"
 
 
 class TestProcessEntry:
