@@ -19,14 +19,13 @@ from .config import ComplexArray, RunConfig, SystemGeometry
 class ChannelSet:
     """All propagation matrices of one scenario realization.
 
-    G: radar->IRS (N x M), F: radar->users (K x M), H: IRS->users (K x N),
-    eta: round-trip radar-IRS-target path coefficient.  K is F's row count.
+    G: radar->IRS (N x M), F: radar->users (K x M), H: IRS->users (K x N).
+    K is F's row count.
     """
 
     G: ComplexArray
     F: ComplexArray
     H: ComplexArray
-    eta: complex
 
     def __post_init__(self) -> None:
         n, m = self.G.shape
@@ -105,11 +104,11 @@ def synthesize_channels(cfg: RunConfig) -> ChannelSet:
     geometry = cfg.geometry
     los = los_component(geometry, cfg.los_radar_angle, cfg.los_irs_azimuth,
                         cfg.los_irs_elevation)
-    g = cfg.g_scale * rician_channel(los, cfg.k_g, rng)
-    f = cfg.f_scale * rayleigh_channel(cfg.num_users, cfg.m, rng)
+    g = rician_channel(los, cfg.k_g, rng)
+    f = rayleigh_channel(cfg.num_users, cfg.m, rng)
     h = cfg.h_scale * rayleigh_channel(cfg.num_users,
                                        geometry.num_irs_elements, rng)
-    return ChannelSet(G=g, F=f, H=h, eta=complex(cfg.eta))
+    return ChannelSet(G=g, F=f, H=h)
 
 
 def composite_comm_channel(channels: ChannelSet,

@@ -61,15 +61,6 @@ class SystemGeometry:
 
 
 @dataclass(frozen=True)
-class DesignWeights:
-    """Radar/communication trade-off weight and receiver noise powers."""
-
-    alpha: float
-    sigma_r_sq: float
-    sigma_c_sq: float
-
-
-@dataclass(frozen=True)
 class BeampatternSpec:
     """Desired covariance R_d and Frobenius-ball radius gamma_bp."""
 
@@ -106,8 +97,6 @@ class RunConfig:
     sigma_c_sq: float
     eta: complex
     k_g: float
-    g_scale: float
-    f_scale: float
     h_scale: float
     p0: float
     gamma_bp: float
@@ -185,11 +174,6 @@ class RunConfig:
             target_elevation=self.target_elevation)
 
     @property
-    def weights(self) -> DesignWeights:
-        return DesignWeights(alpha=self.alpha, sigma_r_sq=self.sigma_r_sq,
-                             sigma_c_sq=self.sigma_c_sq)
-
-    @property
     def beampattern(self) -> BeampatternSpec:
         import numpy as np
         if self.r_d is None:
@@ -240,8 +224,6 @@ TABLE1_PRESET: dict[str, str] = {
     "sigma_c_sq_db": "0",
     "eta": "1+0j",
     "k_g_db": "0",
-    "g_scale": "1.0",
-    "f_scale": "1.0",
     "h_scale": "1.0",
     "p0_dbm": "30",
     "gamma_bp_db": "10",

@@ -79,7 +79,7 @@ def alternate(cfg: RunConfig) -> ConvergenceTrace:
     """Run the full alternating algorithm and return its trace."""
     channels = synthesize_channels(cfg)
     a_irs = upa_steering(cfg.geometry)
-    weights, beampattern = cfg.weights, cfg.beampattern
+    beampattern = cfg.beampattern
     theta = initial_theta(cfg)
     kappa = 1.0  # MM step weight, carried across steps and iterations
     records: list[IterationRecord] = []
@@ -88,12 +88,12 @@ def alternate(cfg: RunConfig) -> ConvergenceTrace:
     for j in range(cfg.j_max + 1):
         u = channels.G.T @ (theta * a_irs)
         f_c = composite_comm_channel(channels, theta)
-        c = build_C(u, channels.eta, f_c, weights)
+        c = build_C(u, f_c, cfg)
         solution = solve_covariance(c, cfg.p0, beampattern)
         r_w, w, f_now = solution.r_w, solution.w, solution.objective
-        snr_r = radar_snr(u, channels.eta, w, cfg.sigma_r_sq)
-        snr_c = comm_snr(f_c, w, cfg.sigma_c_sq)
-        bundle = build_bundle(channels, a_irs, w, weights)
+        snr_r = radar_snr(u, w, cfg)
+        snr_c = comm_snr(f_c, w, cfg)
+        bundle = build_bundle(channels, a_irs, w, cfg)
         egrad = euclidean_gradient(theta, bundle)
         rgrad = project_tangent(egrad, theta)
         records.append(IterationRecord(

@@ -12,7 +12,8 @@ the radar term is radar_scale * |u|^2 |s|^2 and the communication term is
 ac * |F W + E|_F^2 with ac = alpha / sigma_c^2 (E is K x M).  Evaluation
 and gradient cost O(N M (M + K)); no N x N matrix is formed.  The radar
 channel eta u u^T enters the SNR and C only through u, so no M x M radar
-channel is formed either.
+channel is formed either.  alpha, eta and the noise powers are read from
+the RunConfig.
 """
 from __future__ import annotations
 
@@ -21,31 +22,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSet
-from .config import ComplexArray, DesignWeights
+from .config import ComplexArray, RunConfig
 
 
-def radar_snr(u: ComplexArray, eta: complex, w: ComplexArray,
-              sigma_r_sq: float) -> float:
+def radar_snr(u: ComplexArray, w: ComplexArray, cfg: RunConfig) -> float:
     """|F_r W|_F^2 / sigma_r^2 for the rank-one F_r = eta u u^T:
     |eta|^2 |u|^2 |W^T u|^2 / sigma_r^2."""
-    return abs(eta) ** 2 * squared_norm(u) * squared_norm(w.T @ u) \
-        / sigma_r_sq
+    return abs(cfg.eta) ** 2 * squared_norm(u) * squared_norm(w.T @ u) \
+        / cfg.sigma_r_sq
 
 
-def comm_snr(f_c: ComplexArray, w: ComplexArray, sigma_c_sq: float) -> float:
+def comm_snr(f_c: ComplexArray, w: ComplexArray, cfg: RunConfig) -> float:
     """|F_c W|_F^2 / sigma_c^2."""
-    return squared_norm(f_c @ w) / sigma_c_sq
+    return squared_norm(f_c @ w) / cfg.sigma_c_sq
 
 
-def build_C(u: ComplexArray, eta: complex, f_c: ComplexArray,
-            weights: DesignWeights) -> ComplexArray:
+def build_C(u: ComplexArray, f_c: ComplexArray,
+            cfg: RunConfig) -> ComplexArray:
     """PSD matrix C with tr(W W^H C) equal to the weighted SNR, Hermitian up
     to round-off; solve_covariance hermitizes it.  The radar gram F_r^H F_r
     of F_r = eta u u^T is |eta|^2 |u|^2 conj(u) u^T.
     """
-    radar = abs(eta) ** 2 * squared_norm(u) * np.outer(u.conj(), u)
-    return ((1.0 - weights.alpha) / weights.sigma_r_sq) * radar \
-        + (weights.alpha / weights.sigma_c_sq) * (f_c.conj().T @ f_c)
+    radar = abs(cfg.eta) ** 2 * squared_norm(u) * np.outer(u.conj(), u)
+    return ((1.0 - cfg.alpha) / cfg.sigma_r_sq) * radar \
+        + (cfg.alpha / cfg.sigma_c_sq) * (f_c.conj().T @ f_c)
 
 
 @dataclass(frozen=True)
@@ -69,14 +69,13 @@ class ObjectiveBundle:
 
 
 def build_bundle(channels: ChannelSet, a_irs: ComplexArray,
-                 w: ComplexArray, weights: DesignWeights) -> ObjectiveBundle:
+                 w: ComplexArray, cfg: RunConfig) -> ObjectiveBundle:
     """Assemble the objective factors for a fixed precoder W."""
     g, f, h = channels.G, channels.F, channels.H
-    radar_scale = (1.0 - weights.alpha) * abs(channels.eta) ** 2 \
-        / weights.sigma_r_sq
+    radar_scale = (1.0 - cfg.alpha) * abs(cfg.eta) ** 2 / cfg.sigma_r_sq
     return ObjectiveBundle(a=a_irs, G=g, GW=g @ w, H=h, FW=f @ w,
                            radar_scale=radar_scale,
-                           ac=weights.alpha / weights.sigma_c_sq)
+                           ac=cfg.alpha / cfg.sigma_c_sq)
 
 
 def squared_norm(z: ComplexArray) -> float:

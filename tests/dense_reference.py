@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dfrc.channel import ChannelSet, composite_comm_channel
-from dfrc.objective import DesignWeights
+from dfrc.config import RunConfig
 
 
 @dataclass(frozen=True)
@@ -33,17 +33,16 @@ class DenseBundle:
 
 
 def build_dense_bundle(channels: ChannelSet, a_irs: np.ndarray,
-                       w: np.ndarray, weights: DesignWeights) -> DenseBundle:
+                       w: np.ndarray, cfg: RunConfig) -> DenseBundle:
     g, f, h = channels.G, channels.F, channels.H
-    ac = weights.alpha / weights.sigma_c_sq
+    ac = cfg.alpha / cfg.sigma_c_sq
     gw = g @ w
     gram = gw @ gw.conj().T  # G W W^H G^H
     d1 = ac * (h.conj().T @ h) * gram.T
     d1 = 0.5 * (d1 + d1.conj().T)
     v = ac * np.einsum("nm,mn->n", gw @ w.conj().T @ f.conj().T, h)
     t0 = ac * float(np.real(np.trace(w @ w.conj().T @ f.conj().T @ f)))
-    radar_scale = (1.0 - weights.alpha) * abs(channels.eta) ** 2 \
-        / weights.sigma_r_sq
+    radar_scale = (1.0 - cfg.alpha) * abs(cfg.eta) ** 2 / cfg.sigma_r_sq
     return DenseBundle(R=np.outer(a_irs, a_irs), G=g, GW=gw, D1=d1, v=v,
                        t0=t0, radar_scale=radar_scale)
 
@@ -74,16 +73,17 @@ def euclidean_gradient(theta: np.ndarray, bundle: DenseBundle) -> np.ndarray:
 
 
 def composite_radar_channel(channels: ChannelSet, theta: np.ndarray,
-                            a_irs: np.ndarray) -> np.ndarray:
+                            a_irs: np.ndarray, eta: complex) -> np.ndarray:
     """Round-trip radar channel eta (G^T Theta a)(a^T Theta G), M x M."""
     u = channels.G.T @ (theta * a_irs)
-    return channels.eta * np.outer(u, u)
+    return eta * np.outer(u, u)
 
 
 def weighted_snr(channels: ChannelSet, a_irs: np.ndarray, w: np.ndarray,
-                 weights: DesignWeights, theta: np.ndarray) -> float:
+                 cfg: RunConfig, theta: np.ndarray) -> float:
     """(1-alpha) |F_r W|^2 / sigma_r^2 + alpha |F_c W|^2 / sigma_c^2."""
-    radar = np.linalg.norm(composite_radar_channel(channels, theta, a_irs) @ w)
+    radar = np.linalg.norm(
+        composite_radar_channel(channels, theta, a_irs, cfg.eta) @ w)
     comm = np.linalg.norm(composite_comm_channel(channels, theta) @ w)
-    return (1.0 - weights.alpha) * radar ** 2 / weights.sigma_r_sq \
-        + weights.alpha * comm ** 2 / weights.sigma_c_sq
+    return (1.0 - cfg.alpha) * radar ** 2 / cfg.sigma_r_sq \
+        + cfg.alpha * comm ** 2 / cfg.sigma_c_sq

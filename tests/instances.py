@@ -1,24 +1,30 @@
 """Random instances and reference oracles for the tests.
 
-Random (channels, steering, precoder, weights, theta) tuples and
+Random (channels, steering, precoder, config, theta) tuples and
 objective bundles, a central-difference gradient of the phase objective,
 and a rejection sampler of feasible covariances.  Each is independent of
 the code path it checks.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from dfrc.channel import ChannelSet, rayleigh_channel, upa_steering
-from dfrc.config import BeampatternSpec, DesignWeights, SystemGeometry
+from dfrc.config import BeampatternSpec, RunConfig, SystemGeometry, \
+    parse_config
 from dfrc.objective import ObjectiveBundle, build_bundle, eval_f1
+
+TABLE1 = parse_config("table1")
 
 
 def random_instance(rng: np.random.Generator, m: int, n: int, k: int
                     ) -> tuple[ChannelSet, np.ndarray, np.ndarray,
-                               DesignWeights, np.ndarray]:
-    """Random (channels, steering, precoder, weights, theta) tuple for
-    oracle checks; theta is drawn on the unit circle."""
+                               RunConfig, np.ndarray]:
+    """Random (channels, steering, precoder, config, theta) tuple for
+    oracle checks; the config carries a random alpha, noise powers and
+    eta, and theta is drawn on the unit circle."""
     geometry = SystemGeometry(
         num_radar_antennas=m, irs_rows=n, irs_cols=1,
         radar_spacing=0.5, irs_spacing=0.5,
@@ -27,22 +33,22 @@ def random_instance(rng: np.random.Generator, m: int, n: int, k: int
     channels = ChannelSet(
         G=rayleigh_channel(n, m, rng),
         F=rayleigh_channel(k, m, rng),
-        H=rayleigh_channel(k, n, rng),
-        eta=complex(rng.standard_normal() + 1j * rng.standard_normal()))
+        H=rayleigh_channel(k, n, rng))
+    eta = complex(rng.standard_normal() + 1j * rng.standard_normal())
     a_irs = upa_steering(geometry)
     w = rayleigh_channel(m, m, rng)
-    weights = DesignWeights(alpha=float(rng.uniform(0.05, 0.95)),
-                            sigma_r_sq=float(rng.uniform(0.5, 2.0)),
-                            sigma_c_sq=float(rng.uniform(0.5, 2.0)))
+    cfg = replace(TABLE1, alpha=float(rng.uniform(0.05, 0.95)),
+                  sigma_r_sq=float(rng.uniform(0.5, 2.0)),
+                  sigma_c_sq=float(rng.uniform(0.5, 2.0)), eta=eta)
     theta = np.exp(1j * rng.uniform(0.0, 2 * np.pi, n))
-    return channels, a_irs, w, weights, theta
+    return channels, a_irs, w, cfg, theta
 
 
 def random_bundle(rng: np.random.Generator, m: int,
                   n: int) -> tuple[ObjectiveBundle, np.ndarray]:
     """Random objective bundle with K = 3 users, and a theta."""
-    channels, a_irs, w, weights, theta = random_instance(rng, m, n, 3)
-    return build_bundle(channels, a_irs, w, weights), theta
+    channels, a_irs, w, cfg, theta = random_instance(rng, m, n, 3)
+    return build_bundle(channels, a_irs, w, cfg), theta
 
 
 def finite_difference_gradient(theta: np.ndarray, bundle: ObjectiveBundle,

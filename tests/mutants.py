@@ -46,12 +46,12 @@ MUTANTS = [
      "tests/test_precoder.py::TestSolveCovariance"
      "::test_top_eigenvalues_tied_to_round_off"),
     ("src/dfrc/channel.py",
-     "    f = cfg.f_scale * rayleigh_channel(cfg.num_users, cfg.m, rng)\n"
+     "    f = rayleigh_channel(cfg.num_users, cfg.m, rng)\n"
      "    h = cfg.h_scale * rayleigh_channel(cfg.num_users,\n"
      "                                       geometry.num_irs_elements, rng)\n",
      "    h = cfg.h_scale * rayleigh_channel(cfg.num_users,\n"
      "                                       geometry.num_irs_elements, rng)\n"
-     "    f = cfg.f_scale * rayleigh_channel(cfg.num_users, cfg.m, rng)\n",
+     "    f = rayleigh_channel(cfg.num_users, cfg.m, rng)\n",
      "tests/test_channel.py::TestSynthesis"
      "::test_draw_order_is_g_then_f_then_h"),
     ("src/dfrc/driver.py", "rng.uniform(0.0, 2 * np.pi, n)",
@@ -69,6 +69,12 @@ MUTANTS = [
      "squared_norm(w @ u)",
      "tests/test_objective.py::TestSnrs"
      "::test_matches_elementwise_sum"),
+    # every preset sets sigma_r_sq = sigma_c_sq, so only a random instance
+    # tells the two noise powers apart
+    ("src/dfrc/objective.py", "abs(cfg.eta) ** 2 / cfg.sigma_r_sq",
+     "abs(cfg.eta) ** 2 / cfg.sigma_c_sq",
+     "tests/test_objective.py::TestFactoredForm"
+     "::test_matches_dense_reference"),
     # the numbers a run reports, held by the golden fingerprints
     ("src/dfrc/driver.py", "kappa = 1.0", "kappa = 8.0",
      f"{FINGERPRINT}[table1_seed0]"),

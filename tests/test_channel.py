@@ -89,45 +89,46 @@ class TestRician:
         assert abs(np.mean(np.abs(out) ** 2) - 1.0) < 0.01
 
 
-def small_channels(seed=0, n=4, m=3, k=2, eta=1.0 + 0j):
+def small_channels(seed=0, n=4, m=3, k=2):
     rng = np.random.default_rng(seed)
     return ChannelSet(G=rayleigh_channel(n, m, rng),
                       F=rayleigh_channel(k, m, rng),
-                      H=rayleigh_channel(k, n, rng),
-                      eta=eta)
+                      H=rayleigh_channel(k, n, rng))
 
 
 class TestChannelSet:
     def test_user_counts_of_f_and_h_must_agree(self):
         ch = small_channels(k=2)
         with pytest.raises(ValueError, match="H must be 2x4"):
-            ChannelSet(G=ch.G, F=ch.F, H=ch.H[:1], eta=ch.eta)
+            ChannelSet(G=ch.G, F=ch.F, H=ch.H[:1])
         with pytest.raises(ValueError, match="F must be Kx3"):
-            ChannelSet(G=ch.G, F=ch.F[:, :2], H=ch.H, eta=ch.eta)
+            ChannelSet(G=ch.G, F=ch.F[:, :2], H=ch.H)
 
 
 class TestCompositeRadar:
     # the dense M x M oracle that the factored radar SNR and C are checked
     # against
     def test_zero_eta_gives_zero(self):
-        ch = small_channels(eta=0.0)
+        ch = small_channels()
         theta = np.exp(1j * np.linspace(0, 1, 4))
-        f_r = composite_radar_channel(ch, theta, np.ones(4, dtype=complex))
+        f_r = composite_radar_channel(ch, theta, np.ones(4, dtype=complex),
+                                      0.0)
         np.testing.assert_array_equal(f_r, np.zeros((3, 3)))
 
     def test_scalar_expansion(self):
         g, phi, eta = 1.3 - 0.4j, 0.8, 2.0 + 1.0j
         ch = ChannelSet(G=np.array([[g]]), F=np.zeros((1, 1), dtype=complex),
-                        H=np.zeros((1, 1), dtype=complex), eta=eta)
+                        H=np.zeros((1, 1), dtype=complex))
         theta = np.array([np.exp(1j * phi)])
-        f_r = composite_radar_channel(ch, theta, np.ones(1, dtype=complex))
+        f_r = composite_radar_channel(ch, theta, np.ones(1, dtype=complex),
+                                      eta)
         np.testing.assert_allclose(f_r, [[eta * g ** 2 * np.exp(2j * phi)]])
 
     def test_rank_one(self):
         ch = small_channels(seed=2)
         theta = np.exp(1j * np.random.default_rng(7).uniform(0, 2 * np.pi, 4))
         a = upa_steering(geom(n_y=2, n_x=2))
-        f_r = composite_radar_channel(ch, theta, a)
+        f_r = composite_radar_channel(ch, theta, a, 1.0 + 0j)
         s = np.linalg.svd(f_r, compute_uv=False)
         assert s[1] < 1e-10 * s[0]
 
@@ -135,26 +136,26 @@ class TestCompositeRadar:
         ch = small_channels(seed=3)
         theta = np.exp(1j * np.random.default_rng(8).uniform(0, 2 * np.pi, 4))
         a = upa_steering(geom(n_y=2, n_x=2))
-        f_r = composite_radar_channel(ch, theta, a)
+        f_r = composite_radar_channel(ch, theta, a, 1.0 + 0j)
         assert np.max(np.abs(f_r - f_r.T)) < 1e-12 * np.max(np.abs(f_r))
 
 
 class TestCompositeComm:
     def test_no_irs_path(self):
         ch = small_channels()
-        ch = ChannelSet(G=ch.G, F=ch.F, H=np.zeros_like(ch.H), eta=ch.eta)
+        ch = ChannelSet(G=ch.G, F=ch.F, H=np.zeros_like(ch.H))
         theta = np.exp(1j * np.linspace(0, 2, 4))
         np.testing.assert_allclose(composite_comm_channel(ch, theta), ch.F)
 
     def test_identity_phases(self):
         ch = small_channels()
-        ch = ChannelSet(G=ch.G, F=np.zeros_like(ch.F), H=ch.H, eta=ch.eta)
+        ch = ChannelSet(G=ch.G, F=np.zeros_like(ch.F), H=ch.H)
         f_c = composite_comm_channel(ch, np.ones(4, dtype=complex))
         np.testing.assert_allclose(f_c, ch.H @ ch.G)
 
     def test_scalar_expansion(self):
         ch = ChannelSet(G=np.array([[3.0 + 0j]]), F=np.array([[1.0 + 0j]]),
-                        H=np.array([[2.0 + 0j]]), eta=1.0)
+                        H=np.array([[2.0 + 0j]]))
         f_c = composite_comm_channel(ch, np.array([1j]))
         np.testing.assert_allclose(f_c, [[1.0 + 6.0j]])
 
@@ -198,9 +199,8 @@ class TestSynthesis:
         los = los_component(cfg.geometry, cfg.los_radar_angle,
                             cfg.los_irs_azimuth, cfg.los_irs_elevation)
         k = cfg.k_g
-        g = cfg.g_scale * (np.sqrt(k / (1 + k)) * los
-                           + np.sqrt(1 / (1 + k)) * scatter(4, 3))
-        f, h = cfg.f_scale * scatter(2, 3), cfg.h_scale * scatter(2, 4)
+        g = np.sqrt(k / (1 + k)) * los + np.sqrt(1 / (1 + k)) * scatter(4, 3)
+        f, h = scatter(2, 3), cfg.h_scale * scatter(2, 4)
         ch = synthesize_channels(cfg)
         np.testing.assert_allclose(ch.G, g, rtol=1e-15, atol=0)
         np.testing.assert_array_equal(ch.F, f)

@@ -29,14 +29,14 @@ class TestParseConfig:
         assert cfg.k_g == pytest.approx(1.0)         # 0 dB
         assert cfg.geometry.radar_spacing == 0.5
         assert cfg.geometry.irs_spacing == 0.5
-        assert cfg.weights.sigma_r_sq == pytest.approx(1.0)
-        assert cfg.weights.sigma_c_sq == pytest.approx(1.0)
+        assert cfg.sigma_r_sq == pytest.approx(1.0)
+        assert cfg.sigma_c_sq == pytest.approx(1.0)
         assert cfg.p0 == pytest.approx(1000.0)       # 30 dBm
         assert cfg.beampattern.gamma_bp == pytest.approx(10.0)  # 10 dB
 
     def test_override_precedence(self):
         cfg = parse_config("table1", ["alpha=0.25"])
-        assert cfg.weights.alpha == 0.25
+        assert cfg.alpha == 0.25
 
     def test_override_replaces_db_form(self):
         cfg = parse_config("table1", ["epsilon=0.01"])
@@ -51,7 +51,7 @@ class TestParseConfig:
         path = tmp_path / "bad.cfg"
         path.write_text(format_config(parse_config("table1"))
                         + "alpa = 0.5\n")
-        with pytest.raises(ConfigError, match="^line 32: unknown key 'alpa'"):
+        with pytest.raises(ConfigError, match="^line 30: unknown key 'alpa'"):
             parse_config(path)
 
     def test_missing_key(self, tmp_path):
@@ -69,9 +69,9 @@ class TestParseConfig:
         text = format_config(parse_config("table1")) + "epsilon_db = -20\n"
         path = tmp_path / "conflict.cfg"
         path.write_text(text)
-        with pytest.raises(ConfigError, match=r"^line 32: key 'epsilon' "
+        with pytest.raises(ConfigError, match=r"^line 30: key 'epsilon' "
                            r"\(as 'epsilon_db'\) is set again \(first on "
-                           r"line 23\)$"):
+                           r"line 21\)$"):
             parse_config(path)
 
     def test_agreeing_db_and_linear_is_config_error(self, tmp_path, capsys):
@@ -80,7 +80,7 @@ class TestParseConfig:
         path = tmp_path / "agree.cfg"
         path.write_text(text + "epsilon_db = -30\n")
         assert run_cli("print-config", "--config", str(path)) == 2
-        assert "is set again (first on line 23)" in capsys.readouterr().err
+        assert "is set again (first on line 21)" in capsys.readouterr().err
 
     def test_db_override_replaces_linear_form(self, tmp_path):
         text = format_config(parse_config("table1"))
@@ -126,13 +126,13 @@ class TestParseConfig:
         names = [f.name for f in fields(RunConfig) if f.name != "r_d"]
         preset = [re.sub(r"_dbm?$", "", key) for key in TABLE1_PRESET]
         assert printed == names == preset
-        assert len(names) == 31
+        assert len(names) == 29
 
     @pytest.mark.parametrize("item, key", [
         ("epsilon=inf", "epsilon"), ("sigma_r_sq=inf", "sigma_r_sq"),
         ("p0=nan", "p0"), ("gamma_bp=nan", "gamma_bp"),
         ("sigma_c_sq=nan", "sigma_c_sq"), ("eta=nan", "eta"),
-        ("eta=1+infj", "eta"), ("g_scale=nan", "g_scale"),
+        ("eta=1+infj", "eta"), ("h_scale=nan", "h_scale"),
         ("target_azimuth=nan", "target_azimuth"),
         ("radar_spacing=inf", "radar_spacing"),
         ("los_radar_angle=inf", "los_radar_angle"), ("k_g=nan", "k_g"),
@@ -391,10 +391,19 @@ class TestCommands:
         assert "warning" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("item", ["delta=0.1", "backtracking=true",
-                                      "inner_steps=1"])
+                                      "inner_steps=1", "g_scale=1",
+                                      "f_scale=1"])
     def test_removed_step_keys_are_unknown(self, item, tmp_path, capsys):
+        # removed keys, of the ascent step and of the G and F scales, exit
+        # 2 as an override and as a line of a config file
         assert run_cli("converge", "--config", "table1", *FAST,
                        "--set", item, "--out", str(tmp_path)) == 2
+        assert "unknown key" in capsys.readouterr().err
+        path = tmp_path / "removed.cfg"
+        path.write_text(format_config(parse_config("table1"))
+                        + item.replace("=", " = ") + "\n")
+        assert run_cli("converge", "--config", str(path), *FAST,
+                       "--out", str(tmp_path)) == 2
         assert "unknown key" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path):
@@ -464,7 +473,7 @@ class TestCommands:
         lineno = next((i for i, line in enumerate(lines, start=1)
                        if line.startswith(f"{key} = ")), len(lines) + 1)
         lines[lineno - 1:lineno] = [item]
-        assert lineno == {"foo": 32, "sweep_m": 30}[key]
+        assert lineno == {"foo": 30, "sweep_m": 28}[key]
         path = tmp_path / "bad.cfg"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigError, match=f"^line {lineno}: {why}"):
@@ -477,8 +486,8 @@ class TestCommands:
         path.write_text(text + "p0 = 10\n")
         assert run_cli("print-config", "--config", str(path)) == 2
         assert capsys.readouterr().err == (
-            "config error: line 32: key 'p0' is set again (first on "
-            "line 20)\n")
+            "config error: line 30: key 'p0' is set again (first on "
+            "line 18)\n")
 
     @pytest.mark.parametrize("content", [None, "dir", b"m = \xff\n"],
                              ids=["missing", "directory", "not-utf8"])

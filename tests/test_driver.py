@@ -84,8 +84,8 @@ class TestAlternate:
         for _ in range(5):
             theta = np.exp(1j * rng.uniform(
                 0, 2 * np.pi, cfg.geometry.num_irs_elements))
-            c = build_C(channels.G.T @ (theta * a_irs), channels.eta,
-                        composite_comm_channel(channels, theta), cfg.weights)
+            c = build_C(channels.G.T @ (theta * a_irs),
+                        composite_comm_channel(channels, theta), cfg)
             solution = solve_covariance(c, cfg.p0, cfg.beampattern)
             if r_prev is not None:
                 kept = float(np.real(np.trace(r_prev @ c)))
@@ -129,11 +129,11 @@ class TestAlternate:
         channels = synthesize_channels(cfg)
         a_irs = upa_steering(cfg.geometry)
         theta = initial_theta(cfg)
-        c = build_C(channels.G.T @ (theta * a_irs), channels.eta,
-                    composite_comm_channel(channels, theta), cfg.weights)
+        c = build_C(channels.G.T @ (theta * a_irs),
+                    composite_comm_channel(channels, theta), cfg)
         w = solve_covariance(c, cfg.p0, cfg.beampattern).w
         egrad = euclidean_gradient(
-            theta, build_bundle(channels, a_irs, w, cfg.weights))
+            theta, build_bundle(channels, a_irs, w, cfg))
         tangent = float(np.linalg.norm(project_tangent(egrad, theta)))
         grad_norm = alternate(cfg).records[0].grad_norm
         assert grad_norm == pytest.approx(tangent, rel=1e-12)
@@ -229,8 +229,8 @@ class TestPowerSweep:
         theta = base.theta
         channels = synthesize_channels(cfg)
         a_irs = upa_steering(cfg.geometry)
-        c = build_C(channels.G.T @ (theta * a_irs), channels.eta,
-                    composite_comm_channel(channels, theta), cfg.weights)
+        c = build_C(channels.G.T @ (theta * a_irs),
+                    composite_comm_channel(channels, theta), cfg)
         base_obj = solve_covariance(c, cfg.p0, cfg.beampattern).objective
         scaled = replace(cfg, p0=4 * cfg.p0, gamma_bp=4 * cfg.gamma_bp)
         scaled_obj = solve_covariance(c, scaled.p0,

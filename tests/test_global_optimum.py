@@ -40,7 +40,7 @@ def grid_values(cfg, thetas):
     # F_r = eta u u^T, so F_r^H F_r = |eta|^2 |u|^2 conj(u) u^T
     radar = np.einsum("p,pi,pj->pij", np.sum(np.abs(u) ** 2, axis=1),
                       u.conj(), u)
-    c = ((1 - cfg.alpha) * abs(ch.eta) ** 2 / cfg.sigma_r_sq) * radar \
+    c = ((1 - cfg.alpha) * abs(cfg.eta) ** 2 / cfg.sigma_r_sq) * radar \
         + (cfg.alpha / cfg.sigma_c_sq) * np.einsum("pki,pkj->pij",
                                                    f_c.conj(), f_c)
     trace = np.einsum("pii->p", c).real
@@ -64,8 +64,7 @@ def test_stationary_run_reaches_grid_maximum(scenario, seed):
     # the closed form agrees with the solver at the grid's best point
     ch, a = synthesize_channels(cfg), upa_steering(cfg.geometry)
     theta = thetas[best]
-    c = build_C(ch.G.T @ (theta * a), ch.eta,
-                composite_comm_channel(ch, theta), cfg.weights)
+    c = build_C(ch.G.T @ (theta * a), composite_comm_channel(ch, theta), cfg)
     solved = solve_covariance(c, cfg.p0, cfg.beampattern).objective
     assert solved == pytest.approx(values[best], rel=1e-9)
 

@@ -1,7 +1,8 @@
 """Metamorphic relations over whole alternating runs.
 
 Each relation maps a run's inputs through an exact symmetry of the model.
-The mapped run must follow the original through every outer iteration: the
+The mapped run must follow the original, or a gain of G or F the run that
+spells it through eta, sigma_c^2 and H, through every outer iteration: the
 same iteration count, and objectives equal after the known scaling to
 1e-12 relative.  Channels and the IRS steering vector are mapped by
 patching the driver's lookups of synthesize_channels and upa_steering.
@@ -103,3 +104,25 @@ def test_unitary_transmit_basis_changes_nothing(monkeypatch, case):
                 channels=lambda ch: replace(ch, G=ch.G @ q, F=ch.F @ q))
     assert_follows(trace, base)
     np.testing.assert_allclose(trace.theta, base.theta, rtol=0, atol=RTOL)
+
+
+@pytest.mark.parametrize("c", [0.5, 3.7])
+def test_radar_irs_gain_is_eta_and_h(monkeypatch, case, c):
+    # G -> c G scales u, and so the radar term by c^4 as eta -> c^2 eta
+    # does, and E = H diag(theta) G W by c as H -> c H does
+    cfg, _, _ = case
+    trace = run(monkeypatch, cfg, channels=lambda ch: replace(ch, G=c * ch.G))
+    spelled = run(monkeypatch, replace(cfg, eta=cfg.eta * c ** 2),
+                  channels=lambda ch: replace(ch, H=c * ch.H))
+    assert_follows(trace, spelled)
+
+
+@pytest.mark.parametrize("c", [0.5, 3.7])
+def test_direct_link_gain_is_comm_noise_and_h(monkeypatch, case, c):
+    # alpha |c F W + E|^2 / sigma_c^2 = alpha |F W + E/c|^2 / (sigma_c^2/c^2)
+    cfg, _, _ = case
+    trace = run(monkeypatch, cfg, channels=lambda ch: replace(ch, F=c * ch.F))
+    spelled = run(monkeypatch,
+                  replace(cfg, sigma_c_sq=cfg.sigma_c_sq / c ** 2),
+                  channels=lambda ch: replace(ch, H=ch.H / c))
+    assert_follows(trace, spelled)

@@ -294,8 +294,8 @@ class TestSolveCovariance:
         for _ in range(3):
             theta = np.exp(1j * rng.uniform(
                 0, 2 * np.pi, cfg.geometry.num_irs_elements))
-            c = build_C(channels.G.T @ (theta * a_irs), channels.eta,
-                        composite_comm_channel(channels, theta), cfg.weights)
+            c = build_C(channels.G.T @ (theta * a_irs),
+                        composite_comm_channel(channels, theta), cfg)
             projection_calls.clear()
             sol = solve_covariance(c, cfg.p0, cfg.beampattern)
             assert len(projection_calls) <= 2
@@ -314,8 +314,7 @@ class TestSolveCovariance:
         channels = synthesize_channels(cfg)
         theta = np.ones(cfg.geometry.num_irs_elements, dtype=complex)
         c = build_C(channels.G.T @ (theta * upa_steering(cfg.geometry)),
-                    channels.eta, composite_comm_channel(channels, theta),
-                    cfg.weights)
+                    composite_comm_channel(channels, theta), cfg)
         g = cfg.geometry
         a = ula_steering(g.num_radar_antennas, g.radar_spacing,
                          g.target_azimuth)
