@@ -1,11 +1,12 @@
 """Metamorphic relations over whole alternating runs.
 
 Each relation maps a run's inputs through an exact symmetry of the model.
-The mapped run must follow the original, or a gain of G or F the run that
-spells it through eta, sigma_c^2 and H, through every outer iteration: the
-same iteration count, and objectives equal after the known scaling to
-1e-12 relative.  Channels and the IRS steering vector are mapped by
-patching the driver's lookups of synthesize_channels and upa_steering.
+The mapped run must follow the original through every outer iteration:
+the same iteration count, and objectives equal after the known scaling to
+1e-12 relative.  A gain of G or F is instead matched against the run that
+spells the same gain through eta, sigma_c^2 and H.  Channels and the IRS
+steering vector are mapped by patching the driver's lookups of
+synthesize_channels and upa_steering.
 """
 import cmath
 from dataclasses import replace
