@@ -74,9 +74,11 @@ class RunConfig:
 
     The fields up to ``sweep_n`` are the config keys in their linear
     spelling, in ``print-config`` order; each annotation says how the key's
-    text is parsed.  ``r_d`` is not a key: it holds the matrix loaded from
-    ``r_d_path`` as a tuple of rows, or None for the isotropic (p0/m)*I;
-    ``beampattern`` makes either one an array.  Construction, also
+    text is parsed.  ``eta`` is the radar's IRS-target round-trip gain over
+    its noise amplitude, the paper's |eta|/sigma_r: the radar SNR reads the
+    two through that ratio alone.  ``r_d`` is not a key: it holds the matrix
+    loaded from ``r_d_path`` as a tuple of rows, or None for the isotropic
+    (p0/m)*I; ``beampattern`` makes either one an array.  Construction, also
     through ``dataclasses.replace``, raises ConfigError for a value out of
     range.
     """
@@ -93,9 +95,8 @@ class RunConfig:
     los_irs_azimuth: float
     los_irs_elevation: float
     alpha: float
-    sigma_r_sq: float
     sigma_c_sq: float
-    eta: complex
+    eta: float
     k_g: float
     h_scale: float
     p0: float
@@ -124,15 +125,16 @@ class RunConfig:
             value = values[key]
             for item in value if isinstance(value, tuple) else (value,):
                 # k_g = inf is a pure line-of-sight radar->IRS link
-                if isinstance(item, (float, complex)) \
-                        and not (math.isfinite(item.real)
-                                 and math.isfinite(item.imag)) \
+                if isinstance(item, float) and not math.isfinite(item) \
                         and not (key == "k_g" and item == math.inf):
                     bad(key, "must be finite")
         if not 0.0 <= self.alpha <= 1.0:
             bad("alpha", "must lie in [0, 1]")
-        for key in ("sigma_r_sq", "sigma_c_sq", "p0", "epsilon",
-                    "radar_spacing", "irs_spacing"):
+        # a complex eta would square its phase into the radar SNR
+        if isinstance(self.eta, complex):
+            bad("eta", "must be real")
+        for key in ("sigma_c_sq", "p0", "epsilon", "radar_spacing",
+                    "irs_spacing"):
             if values[key] <= 0:
                 bad(key, "must be positive")
         for key in ("m", "n_x", "n_y", "num_users", "j_max",
@@ -149,7 +151,7 @@ class RunConfig:
             bad("theta_init", "must be 'allones' or 'random'")
         if any(not 0.0 <= a <= 1.0 for a in self.alphas):
             bad("alphas", "entries must lie in [0, 1]")
-        for key in ("sweep_p0", "sweep_m", "sweep_n"):
+        for key in ("alphas", "sweep_p0", "sweep_m", "sweep_n"):
             if not values[key]:
                 bad(key, "must list at least one entry")
         if any(p <= 0 for p in self.sweep_p0):
@@ -187,9 +189,8 @@ class RunConfig:
 _KEYS = {f.name: f.type for f in fields(RunConfig) if f.name != "r_d"}
 
 # dB-suffixed spelling -> the linear key it sets
-_DB_KEYS = {"sigma_r_sq_db": "sigma_r_sq", "sigma_c_sq_db": "sigma_c_sq",
-            "k_g_db": "k_g", "p0_dbm": "p0", "gamma_bp_db": "gamma_bp",
-            "epsilon_db": "epsilon"}
+_DB_KEYS = {"sigma_c_sq_db": "sigma_c_sq", "k_g_db": "k_g", "p0_dbm": "p0",
+            "gamma_bp_db": "gamma_bp", "epsilon_db": "epsilon"}
 
 
 def _parse_list(item):
@@ -199,14 +200,14 @@ def _parse_list(item):
 
 _PARSERS = {
     "int": int, "float": float, "str": str.strip,
-    "complex": lambda text: complex(text.replace(" ", "")),
     "tuple[float, ...]": _parse_list(float),
     "tuple[int, ...]": _parse_list(int),
 }
 
 # Reference simulation preset: tolerance -30 dB, 500 iterations, 5 users,
 # 0 dB Rician factor, half-wavelength spacings, 10 dB beampattern ball, 0 dB
-# noise powers, 30 dBm budget, M=8 and an 8x8 IRS.
+# noise powers (the radar's is folded into eta = 1), 30 dBm budget, M=8 and
+# an 8x8 IRS.
 TABLE1_PRESET: dict[str, str] = {
     "m": "8",
     "n_x": "8",
@@ -220,9 +221,8 @@ TABLE1_PRESET: dict[str, str] = {
     "los_irs_azimuth": "0.0",
     "los_irs_elevation": "0.0",
     "alpha": "0.5",
-    "sigma_r_sq_db": "0",
     "sigma_c_sq_db": "0",
-    "eta": "1+0j",
+    "eta": "1.0",
     "k_g_db": "0",
     "h_scale": "1.0",
     "p0_dbm": "30",
@@ -419,8 +419,6 @@ def parse_config(source: str | Path,
 def _format(value: object) -> str:
     if isinstance(value, tuple):
         return ",".join(_format(v) for v in value)
-    if isinstance(value, complex):
-        return str(value).strip("()")
     return str(value)
 
 

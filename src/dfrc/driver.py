@@ -40,7 +40,6 @@ class ConvergenceTrace:
     records: tuple[IterationRecord, ...]
     flag: str
     theta: ComplexArray
-    r_w: ComplexArray
 
     @property
     def objectives(self) -> np.ndarray:
@@ -90,7 +89,7 @@ def alternate(cfg: RunConfig) -> ConvergenceTrace:
         f_c = composite_comm_channel(channels, theta)
         c = build_C(u, f_c, cfg)
         solution = solve_covariance(c, cfg.p0, beampattern)
-        r_w, w, f_now = solution.r_w, solution.w, solution.objective
+        w, f_now = solution.w, solution.objective
         snr_r = radar_snr(u, w, cfg)
         snr_c = comm_snr(f_c, w, cfg)
         bundle = build_bundle(channels, a_irs, w, cfg)
@@ -106,8 +105,7 @@ def alternate(cfg: RunConfig) -> ConvergenceTrace:
         f_prev = f_now
         if j < cfg.j_max:
             theta, kappa = ascent_step(theta, bundle, kappa, egrad)
-    return ConvergenceTrace(records=tuple(records), flag=flag,
-                            theta=theta, r_w=r_w)
+    return ConvergenceTrace(records=tuple(records), flag=flag, theta=theta)
 
 
 def _realization_traces(cfg: RunConfig) -> list[ConvergenceTrace]:
@@ -129,10 +127,10 @@ def _aligned_stats(traces: list[ConvergenceTrace]) -> tuple[np.ndarray,
 
 
 def run_convergence_experiment(cfg: RunConfig) -> tuple[Curve, ...]:
-    """Convergence curves (objective vs iteration) for each of ``alphas``
-    (or ``alpha`` alone), averaged over ``num_realizations`` channels."""
+    """Convergence curves (objective vs iteration) for each of ``alphas``,
+    averaged over ``num_realizations`` channels."""
     curves = []
-    for alpha in cfg.alphas or (cfg.alpha,):
+    for alpha in cfg.alphas:
         traces = _realization_traces(replace(cfg, alpha=alpha))
         mean, std = _aligned_stats(traces)
         curves.append(Curve(label=f"alpha_{alpha:g}", param=alpha,

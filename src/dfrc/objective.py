@@ -12,8 +12,9 @@ the radar term is radar_scale * |u|^2 |s|^2 and the communication term is
 ac * |F W + E|_F^2 with ac = alpha / sigma_c^2 (E is K x M).  Evaluation
 and gradient cost O(N M (M + K)); no N x N matrix is formed.  The radar
 channel eta u u^T enters the SNR and C only through u, so no M x M radar
-channel is formed either.  alpha, eta and the noise powers are read from
-the RunConfig.
+channel is formed either.  alpha, eta and sigma_c^2 are read from the
+RunConfig, whose real eta already carries the radar noise: it is the
+paper's |eta|/sigma_r.
 """
 from __future__ import annotations
 
@@ -26,10 +27,9 @@ from .config import ComplexArray, RunConfig
 
 
 def radar_snr(u: ComplexArray, w: ComplexArray, cfg: RunConfig) -> float:
-    """|F_r W|_F^2 / sigma_r^2 for the rank-one F_r = eta u u^T:
-    |eta|^2 |u|^2 |W^T u|^2 / sigma_r^2."""
-    return abs(cfg.eta) ** 2 * squared_norm(u) * squared_norm(w.T @ u) \
-        / cfg.sigma_r_sq
+    """|F_r W|_F^2 for the rank-one F_r = eta u u^T:
+    eta^2 |u|^2 |W^T u|^2."""
+    return cfg.eta ** 2 * squared_norm(u) * squared_norm(w.T @ u)
 
 
 def comm_snr(f_c: ComplexArray, w: ComplexArray, cfg: RunConfig) -> float:
@@ -41,10 +41,10 @@ def build_C(u: ComplexArray, f_c: ComplexArray,
             cfg: RunConfig) -> ComplexArray:
     """PSD matrix C with tr(W W^H C) equal to the weighted SNR, Hermitian up
     to round-off; solve_covariance hermitizes it.  The radar gram F_r^H F_r
-    of F_r = eta u u^T is |eta|^2 |u|^2 conj(u) u^T.
+    of F_r = eta u u^T is eta^2 |u|^2 conj(u) u^T.
     """
-    radar = abs(cfg.eta) ** 2 * squared_norm(u) * np.outer(u.conj(), u)
-    return ((1.0 - cfg.alpha) / cfg.sigma_r_sq) * radar \
+    radar = cfg.eta ** 2 * squared_norm(u) * np.outer(u.conj(), u)
+    return (1.0 - cfg.alpha) * radar \
         + (cfg.alpha / cfg.sigma_c_sq) * (f_c.conj().T @ f_c)
 
 
@@ -64,7 +64,7 @@ class ObjectiveBundle:
     GW: ComplexArray         # G @ W, N x M
     H: ComplexArray          # IRS -> users, K x N
     FW: ComplexArray         # F @ W, K x M
-    radar_scale: float       # (1-alpha)|eta|^2 / sigma_r^2
+    radar_scale: float       # (1-alpha) eta^2
     ac: float                # alpha / sigma_c^2
 
 
@@ -72,9 +72,8 @@ def build_bundle(channels: ChannelSet, a_irs: ComplexArray,
                  w: ComplexArray, cfg: RunConfig) -> ObjectiveBundle:
     """Assemble the objective factors for a fixed precoder W."""
     g, f, h = channels.G, channels.F, channels.H
-    radar_scale = (1.0 - cfg.alpha) * abs(cfg.eta) ** 2 / cfg.sigma_r_sq
     return ObjectiveBundle(a=a_irs, G=g, GW=g @ w, H=h, FW=f @ w,
-                           radar_scale=radar_scale,
+                           radar_scale=(1.0 - cfg.alpha) * cfg.eta ** 2,
                            ac=cfg.alpha / cfg.sigma_c_sq)
 
 

@@ -29,7 +29,7 @@ class DenseBundle:
     D1: np.ndarray           # Hermitian N x N quadratic-term matrix
     v: np.ndarray            # length-N linear-term vector
     t0: float                # theta-independent offset
-    radar_scale: float       # (1-alpha)|eta|^2 / sigma_r^2
+    radar_scale: float       # (1-alpha) eta^2
 
 
 def build_dense_bundle(channels: ChannelSet, a_irs: np.ndarray,
@@ -42,7 +42,7 @@ def build_dense_bundle(channels: ChannelSet, a_irs: np.ndarray,
     d1 = 0.5 * (d1 + d1.conj().T)
     v = ac * np.einsum("nm,mn->n", gw @ w.conj().T @ f.conj().T, h)
     t0 = ac * float(np.real(np.trace(w @ w.conj().T @ f.conj().T @ f)))
-    radar_scale = (1.0 - cfg.alpha) * abs(cfg.eta) ** 2 / cfg.sigma_r_sq
+    radar_scale = (1.0 - cfg.alpha) * cfg.eta ** 2
     return DenseBundle(R=np.outer(a_irs, a_irs), G=g, GW=gw, D1=d1, v=v,
                        t0=t0, radar_scale=radar_scale)
 
@@ -81,9 +81,10 @@ def composite_radar_channel(channels: ChannelSet, theta: np.ndarray,
 
 def weighted_snr(channels: ChannelSet, a_irs: np.ndarray, w: np.ndarray,
                  cfg: RunConfig, theta: np.ndarray) -> float:
-    """(1-alpha) |F_r W|^2 / sigma_r^2 + alpha |F_c W|^2 / sigma_c^2."""
+    """(1-alpha) |F_r W|^2 + alpha |F_c W|^2 / sigma_c^2, with the radar
+    noise in eta."""
     radar = np.linalg.norm(
         composite_radar_channel(channels, theta, a_irs, cfg.eta) @ w)
     comm = np.linalg.norm(composite_comm_channel(channels, theta) @ w)
-    return (1.0 - cfg.alpha) * radar ** 2 / cfg.sigma_r_sq \
+    return (1.0 - cfg.alpha) * radar ** 2 \
         + cfg.alpha * comm ** 2 / cfg.sigma_c_sq

@@ -23,8 +23,8 @@ def random_instance(rng: np.random.Generator, m: int, n: int, k: int
                     ) -> tuple[ChannelSet, np.ndarray, np.ndarray,
                                RunConfig, np.ndarray]:
     """Random (channels, steering, precoder, config, theta) tuple for
-    oracle checks; the config carries a random alpha, noise powers and
-    eta, and theta is drawn on the unit circle."""
+    oracle checks; the config carries a random alpha, communication noise
+    power and eta, and theta is drawn on the unit circle."""
     geometry = SystemGeometry(
         num_radar_antennas=m, irs_rows=n, irs_cols=1,
         radar_spacing=0.5, irs_spacing=0.5,
@@ -34,12 +34,15 @@ def random_instance(rng: np.random.Generator, m: int, n: int, k: int
         G=rayleigh_channel(n, m, rng),
         F=rayleigh_channel(k, m, rng),
         H=rayleigh_channel(k, n, rng))
-    eta = complex(rng.standard_normal() + 1j * rng.standard_normal())
+    # eta = |gain| / sigma_r, a complex round-trip gain over a radar noise
+    # amplitude
+    gain = abs(rng.standard_normal() + 1j * rng.standard_normal())
     a_irs = upa_steering(geometry)
     w = rayleigh_channel(m, m, rng)
-    cfg = replace(TABLE1, alpha=float(rng.uniform(0.05, 0.95)),
-                  sigma_r_sq=float(rng.uniform(0.5, 2.0)),
-                  sigma_c_sq=float(rng.uniform(0.5, 2.0)), eta=eta)
+    alpha = float(rng.uniform(0.05, 0.95))
+    eta = gain / np.sqrt(rng.uniform(0.5, 2.0))
+    cfg = replace(TABLE1, alpha=alpha, eta=float(eta),
+                  sigma_c_sq=float(rng.uniform(0.5, 2.0)))
     theta = np.exp(1j * rng.uniform(0.0, 2 * np.pi, n))
     return channels, a_irs, w, cfg, theta
 

@@ -69,10 +69,10 @@ MUTANTS = [
      "squared_norm(w @ u)",
      "tests/test_objective.py::TestSnrs"
      "::test_matches_elementwise_sum"),
-    # every preset sets sigma_r_sq = sigma_c_sq, so only a random instance
-    # tells the two noise powers apart
-    ("src/dfrc/objective.py", "abs(cfg.eta) ** 2 / cfg.sigma_r_sq",
-     "abs(cfg.eta) ** 2 / cfg.sigma_c_sq",
+    # table1 sets eta = 1, where eta^2 = eta; a random instance tells the
+    # two apart
+    ("src/dfrc/objective.py", "(1.0 - cfg.alpha) * cfg.eta ** 2",
+     "(1.0 - cfg.alpha) * cfg.eta",
      "tests/test_objective.py::TestFactoredForm"
      "::test_matches_dense_reference"),
     # the numbers a run reports, held by the golden fingerprints
@@ -108,6 +108,10 @@ MUTANTS = [
      "row[i].real - sum(",
      "tests/test_cli.py::TestRDFile::test_psd_decision_matches_eigvalsh"
      "[beam]"),
+    # u formed on the conjugate steering vector misses the pure-LOS optimum
+    ("src/dfrc/driver.py", "theta * a_irs", "theta * a_irs.conj()",
+     "tests/test_global_optimum.py"
+     "::test_pure_los_radar_only_run_reaches_rank_one_optimum[table1-0]"),
     # the iteration cap is the loop's one stop besides convergence
     ("src/dfrc/driver.py", "range(cfg.j_max + 1)", "range(cfg.j_max + 2)",
      "tests/test_driver.py::TestAlternate::test_hit_cap_is_valid_result"),

@@ -29,7 +29,7 @@ class TestParseConfig:
         assert cfg.k_g == pytest.approx(1.0)         # 0 dB
         assert cfg.geometry.radar_spacing == 0.5
         assert cfg.geometry.irs_spacing == 0.5
-        assert cfg.sigma_r_sq == pytest.approx(1.0)
+        assert cfg.eta == 1.0          # 0 dB radar noise, folded into eta
         assert cfg.sigma_c_sq == pytest.approx(1.0)
         assert cfg.p0 == pytest.approx(1000.0)       # 30 dBm
         assert cfg.beampattern.gamma_bp == pytest.approx(10.0)  # 10 dB
@@ -51,7 +51,7 @@ class TestParseConfig:
         path = tmp_path / "bad.cfg"
         path.write_text(format_config(parse_config("table1"))
                         + "alpa = 0.5\n")
-        with pytest.raises(ConfigError, match="^line 30: unknown key 'alpa'"):
+        with pytest.raises(ConfigError, match="^line 29: unknown key 'alpa'"):
             parse_config(path)
 
     def test_missing_key(self, tmp_path):
@@ -69,9 +69,9 @@ class TestParseConfig:
         text = format_config(parse_config("table1")) + "epsilon_db = -20\n"
         path = tmp_path / "conflict.cfg"
         path.write_text(text)
-        with pytest.raises(ConfigError, match=r"^line 30: key 'epsilon' "
+        with pytest.raises(ConfigError, match=r"^line 29: key 'epsilon' "
                            r"\(as 'epsilon_db'\) is set again \(first on "
-                           r"line 21\)$"):
+                           r"line 20\)$"):
             parse_config(path)
 
     def test_agreeing_db_and_linear_is_config_error(self, tmp_path, capsys):
@@ -80,7 +80,7 @@ class TestParseConfig:
         path = tmp_path / "agree.cfg"
         path.write_text(text + "epsilon_db = -30\n")
         assert run_cli("print-config", "--config", str(path)) == 2
-        assert "is set again (first on line 21)" in capsys.readouterr().err
+        assert "is set again (first on line 20)" in capsys.readouterr().err
 
     def test_db_override_replaces_linear_form(self, tmp_path):
         text = format_config(parse_config("table1"))
@@ -103,6 +103,12 @@ class TestParseConfig:
         assert str(replaced.value) == str(parsed.value)
         assert str(parsed.value).startswith(f"{key} = ")
 
+    def test_complex_eta_from_replace_is_rejected(self):
+        # the text grammar reads eta as a float; a library caller's eta = 1j
+        # would make eta^2, and so the radar SNR, negative
+        with pytest.raises(ConfigError, match=r"^eta = 1j: must be real$"):
+            replace(parse_config("table1"), eta=1j)
+
     def test_comments_and_blank_lines(self, tmp_path):
         text = "# header\n\n" + format_config(parse_config("table1"))
         path = tmp_path / "c.cfg"
@@ -110,9 +116,9 @@ class TestParseConfig:
         parse_config(path)
 
     def test_round_trip(self, tmp_path):
-        # one override of each kind: int, float, complex, str and lists
+        # one override of each kind: int, float, str and lists
         cfg = parse_config("table1", [
-            "alpha=0.3", "seed=17", "eta=0.5-0.25j", "alphas=0.2,0.8",
+            "alpha=0.3", "seed=17", "eta=-0.5", "alphas=0.2,0.8",
             "sweep_m=2,4", "theta_init=random"])
         path = tmp_path / "rt.cfg"
         path.write_text(format_config(cfg))
@@ -126,13 +132,13 @@ class TestParseConfig:
         names = [f.name for f in fields(RunConfig) if f.name != "r_d"]
         preset = [re.sub(r"_dbm?$", "", key) for key in TABLE1_PRESET]
         assert printed == names == preset
-        assert len(names) == 29
+        assert len(names) == 28
 
     @pytest.mark.parametrize("item, key", [
-        ("epsilon=inf", "epsilon"), ("sigma_r_sq=inf", "sigma_r_sq"),
+        ("epsilon=inf", "epsilon"), ("eta=-inf", "eta"),
         ("p0=nan", "p0"), ("gamma_bp=nan", "gamma_bp"),
         ("sigma_c_sq=nan", "sigma_c_sq"), ("eta=nan", "eta"),
-        ("eta=1+infj", "eta"), ("h_scale=nan", "h_scale"),
+        ("sigma_c_sq_db=4000", "sigma_c_sq"), ("h_scale=nan", "h_scale"),
         ("target_azimuth=nan", "target_azimuth"),
         ("radar_spacing=inf", "radar_spacing"),
         ("los_radar_angle=inf", "los_radar_angle"), ("k_g=nan", "k_g"),
@@ -392,10 +398,12 @@ class TestCommands:
 
     @pytest.mark.parametrize("item", ["delta=0.1", "backtracking=true",
                                       "inner_steps=1", "g_scale=1",
-                                      "f_scale=1"])
+                                      "f_scale=1", "sigma_r_sq=1",
+                                      "sigma_r_sq_db=0"])
     def test_removed_step_keys_are_unknown(self, item, tmp_path, capsys):
-        # removed keys, of the ascent step and of the G and F scales, exit
-        # 2 as an override and as a line of a config file
+        # removed keys, of the ascent step, of the G and F scales and of
+        # the radar noise (folded into eta), exit 2 as an override and as
+        # a line of a config file
         assert run_cli("converge", "--config", "table1", *FAST,
                        "--set", item, "--out", str(tmp_path)) == 2
         assert "unknown key" in capsys.readouterr().err
@@ -422,6 +430,19 @@ class TestCommands:
                        "--out", str(tmp_path)) == 2
         key = item.split("=")[0]
         assert f"config error: {key} = " in capsys.readouterr().err
+        assert runs == []
+
+    def test_empty_alphas_rejected_before_any_run(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # converge runs one curve per alphas entry and never falls back on
+        # alpha, which is sweep's weight
+        runs = []
+        monkeypatch.setattr(driver, "alternate",
+                            lambda cfg: runs.append(cfg))
+        assert run_cli("converge", "--config", "table1", "--set", "alphas=",
+                       "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == (
+            "config error: alphas = (): must list at least one entry\n")
         assert runs == []
 
     @pytest.mark.parametrize("command, item", [
@@ -459,7 +480,9 @@ class TestCommands:
 
     @pytest.mark.parametrize("item, why", [
         ("foo=1", "unknown key 'foo'"),
-        ("sweep_m=4.5", "cannot parse 'sweep_m' = '4.5'")])
+        ("sweep_m=4.5", "cannot parse 'sweep_m' = '4.5'"),
+        # eta is a real gain: its phase never entered the SNRs
+        ("eta=1+0j", "cannot parse 'eta' = '1+0j' as float")])
     def test_override_errors_name_the_override(self, item, why, tmp_path,
                                                capsys):
         assert run_cli("print-config", "--config", "table1",
@@ -473,10 +496,11 @@ class TestCommands:
         lineno = next((i for i, line in enumerate(lines, start=1)
                        if line.startswith(f"{key} = ")), len(lines) + 1)
         lines[lineno - 1:lineno] = [item]
-        assert lineno == {"foo": 30, "sweep_m": 28}[key]
+        assert lineno == {"foo": 29, "sweep_m": 27, "eta": 14}[key]
         path = tmp_path / "bad.cfg"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ConfigError, match=f"^line {lineno}: {why}"):
+        with pytest.raises(ConfigError,
+                           match=f"^line {lineno}: {re.escape(why)}"):
             parse_config(path)
 
     def test_key_set_twice_is_config_error(self, tmp_path, capsys):
@@ -486,8 +510,8 @@ class TestCommands:
         path.write_text(text + "p0 = 10\n")
         assert run_cli("print-config", "--config", str(path)) == 2
         assert capsys.readouterr().err == (
-            "config error: line 30: key 'p0' is set again (first on "
-            "line 18)\n")
+            "config error: line 29: key 'p0' is set again (first on "
+            "line 17)\n")
 
     @pytest.mark.parametrize("content", [None, "dir", b"m = \xff\n"],
                              ids=["missing", "directory", "not-utf8"])

@@ -63,7 +63,6 @@ class TestAlternate:
         a, b = alternate(cfg), alternate(cfg)
         assert a.records == b.records
         np.testing.assert_array_equal(a.theta, b.theta)
-        np.testing.assert_array_equal(a.r_w, b.r_w)
 
     def test_stopping_guard_holds_when_converged(self):
         cfg = small_cfg(alpha=0.9, j_max=400)
@@ -175,7 +174,7 @@ class TestConvergenceExperiment:
                 records=tuple(IterationRecord(
                     objective=f, radar_snr=0.0, comm_snr=0.0, grad_norm=0.0)
                     for f in objectives),
-                flag=CONVERGED, theta=np.ones(1), r_w=np.eye(1))
+                flag=CONVERGED, theta=np.ones(1))
 
         mean, std = _aligned_stats([trace([1.0, 2.0, 3.0]),
                                     trace([5.0, 6.0])])

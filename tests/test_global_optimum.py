@@ -1,4 +1,5 @@
-"""Brute-force global optimum at small N, an oracle for the whole alternation.
+"""Global optima that the whole alternation must reach: a brute-force grid
+at small N, and the pure line-of-sight radar-only case in closed form.
 
 At M = 4, N = 3 (a 3 x 1 IRS) and K = 2 users the joint problem, the
 largest covariance-solve value over the phases, is searched on a grid of
@@ -8,7 +9,8 @@ its value is (P0/M) tr C + gamma_bp ||C0||_F in closed form, with C0 the
 trace-free part of C(theta).  The run from allones, taken to a stationary
 point, must reach the grid maximum on every seed: a wrong W-step or a
 wrong sign in the phase step shows here even when each sub-step is
-self-consistent.
+self-consistent.  The line-of-sight case holds at full size (N = 64 and
+256), where no grid reaches.
 """
 import itertools
 
@@ -37,10 +39,10 @@ def grid_values(cfg, thetas):
     a = upa_steering(cfg.geometry)
     u = (thetas * a) @ ch.G                    # G^T (a o theta), P x M
     f_c = ch.F + np.einsum("kn,pn,nm->pkm", ch.H, thetas, ch.G)
-    # F_r = eta u u^T, so F_r^H F_r = |eta|^2 |u|^2 conj(u) u^T
+    # F_r = eta u u^T, so F_r^H F_r = eta^2 |u|^2 conj(u) u^T
     radar = np.einsum("p,pi,pj->pij", np.sum(np.abs(u) ** 2, axis=1),
                       u.conj(), u)
-    c = ((1 - cfg.alpha) * abs(cfg.eta) ** 2 / cfg.sigma_r_sq) * radar \
+    c = ((1 - cfg.alpha) * cfg.eta ** 2) * radar \
         + (cfg.alpha / cfg.sigma_c_sq) * np.einsum("pki,pkj->pij",
                                                    f_c.conj(), f_c)
     trace = np.einsum("pii->p", c).real
@@ -72,3 +74,28 @@ def test_stationary_run_reaches_grid_maximum(scenario, seed):
     assert trace.final_objective >= values[best], (
         f"{10 * np.log10(trace.final_objective / values[best]):+.4f} dB "
         f"against the grid maximum")
+
+
+# Pure line of sight, radar only: G = a_irs a_radar^T has rank one, so
+# |u|^2 = M |sum_n a_n a_irs,n theta_n|^2 <= M N^2, with equality at
+# theta = conj(a o a_irs) times any common phase.  C = eta^2 |u|^2
+# conj(u) u^T is then rank one with eigenvalue at most eta^2 (M N^2)^2, and
+# the isotropic R_d makes the solve's value depend on that eigenvalue alone.
+LOS_RADAR_ONLY = {"table1": [],
+                  "rotated": ["los_radar_angle=0.4", "los_irs_azimuth=0.3",
+                              "los_irs_elevation=0.7"],
+                  "n256": ["m=4", "n_x=16", "n_y=16"]}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("scenario", LOS_RADAR_ONLY)
+def test_pure_los_radar_only_run_reaches_rank_one_optimum(scenario, seed):
+    cfg = parse_config("table1", ["k_g=inf", "alpha=0",
+                                  *LOS_RADAR_ONLY[scenario], f"seed={seed}"])
+    e1 = np.zeros((cfg.m, cfg.m), dtype=complex)
+    e1[0, 0] = 1.0
+    optimum = cfg.eta ** 2 * (cfg.m * (cfg.n_x * cfg.n_y) ** 2) ** 2 \
+        * solve_covariance(e1, cfg.p0, cfg.beampattern).objective
+    trace = alternate(cfg)
+    gap_db = 10 * np.log10(trace.final_objective / optimum)
+    assert abs(gap_db) <= 1e-5, f"{gap_db:+.2e} dB against the optimum"

@@ -45,20 +45,21 @@ class TestSnrs:
     def test_matches_elementwise_sum(self):
         # the radar SNR on the factors against the dense M x M channel
         ch, a, w, cfg, th = random_instance(np.random.default_rng(1), 3, 5, 2)
-        cfg = replace(cfg, sigma_r_sq=1.7, sigma_c_sq=1.7)
+        # eta carries the radar noise, so the radar SNR divides by 1
+        cfg = replace(cfg, sigma_c_sq=1.7)
         f_r = ref.composite_radar_channel(ch, th, a, cfg.eta)
         u = ch.G.T @ (a * th)
         assert radar_snr(u, w, cfg) \
-            == pytest.approx(brute_force_snr(f_r, w, 1.7), rel=1e-10)
+            == pytest.approx(brute_force_snr(f_r, w, 1.0), rel=1e-10)
         f_c = composite_comm_channel(ch, th)
         assert comm_snr(f_c, w, cfg) \
             == pytest.approx(brute_force_snr(f_c, w, 1.7), rel=1e-10)
 
     def test_rejects_bad_noise(self):
-        # the SNRs divide by the noise powers that RunConfig has checked
-        for key in ("sigma_r_sq", "sigma_c_sq"):
-            with pytest.raises(ConfigError, match=f"^{key} = 0.0: must be"):
-                parse_config("table1", [f"{key}=0"])
+        # the communication SNR divides by the noise power that RunConfig
+        # has checked
+        with pytest.raises(ConfigError, match="^sigma_c_sq = 0.0: must be"):
+            parse_config("table1", ["sigma_c_sq=0"])
 
 
 class TestBuildC:
@@ -79,7 +80,7 @@ class TestBuildC:
         ch, a, _, cfg, th = random_instance(np.random.default_rng(15), 4, 6, 2)
         f_r = ref.composite_radar_channel(ch, th, a, cfg.eta)
         c = build_C(ch.G.T @ (a * th), np.zeros((2, 4), dtype=complex),
-                    replace(cfg, alpha=0.0, sigma_r_sq=1.0, sigma_c_sq=1.0))
+                    replace(cfg, alpha=0.0, sigma_c_sq=1.0))
         np.testing.assert_allclose(c, f_r.conj().T @ f_r, rtol=1e-12,
                                    atol=1e-12 * np.abs(c).max())
 
@@ -87,8 +88,8 @@ class TestBuildC:
         rng = np.random.default_rng(3)
         u = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         f_c = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-        c = build_C(u, f_c, replace(TABLE1, alpha=0.4, sigma_r_sq=1.3,
-                                    sigma_c_sq=0.7, eta=0.3 - 1.2j))
+        c = build_C(u, f_c, replace(TABLE1, alpha=0.4, sigma_c_sq=0.7,
+                                    eta=-1.1))
         eig = np.linalg.eigvalsh(c)
         assert eig[0] >= -1e-10 * eig[-1]
 
@@ -131,7 +132,7 @@ class TestBundle:
     def test_comm_only_kills_quartic_scale(self):
         rng = np.random.default_rng(7)
         ch, a, w, cfg, _ = random_instance(rng, 2, 4, 2)
-        bundle = build_bundle(ch, a, w, replace(cfg, alpha=1.0, sigma_r_sq=1.0,
+        bundle = build_bundle(ch, a, w, replace(cfg, alpha=1.0,
                                                 sigma_c_sq=1.0))
         assert bundle.radar_scale == 0.0
 
@@ -214,7 +215,7 @@ class TestEvalF1:
     def test_radar_only_ignores_comm_channels(self):
         rng = np.random.default_rng(13)
         ch, a, w, cfg, th = random_instance(rng, 3, 6, 2)
-        cfg = replace(cfg, alpha=0.0, sigma_r_sq=1.1, sigma_c_sq=0.9)
+        cfg = replace(cfg, alpha=0.0, sigma_c_sq=0.9)
         perturbed = ChannelSet(G=ch.G, F=ch.F + 1.0, H=ch.H - 2.0j)
         b1 = build_bundle(ch, a, w, cfg)
         b2 = build_bundle(perturbed, a, w, cfg)
