@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Commands: converge, sweep, print-config.  Exit codes: 0 success, 2
-config error, 3 runtime error.  Each command imports only the modules it
-runs: print-config and config errors load no numpy.
+config error (an input was rejected, see ``ConfigError``), 3 runtime error
+(the program or the machine failed, e.g. an --out that cannot be written).
+Each command imports only the modules it runs: print-config and config
+errors load no numpy.
 """
 from __future__ import annotations
 

@@ -32,8 +32,9 @@ _CERTIFY_RTOL = 1e-9   # feasibility residuals, relative to max(1, power)
 
 
 class ConfigError(ValueError):
-    """A configuration problem (CLI exit code 2); the message names the
-    key, line or override at fault."""
+    """An input was rejected (CLI exit code 2): a key, the R_d file, or a
+    beampattern spec that no covariance satisfies; the message says what
+    is wrong."""
 
 
 def db_to_linear(db: float) -> float:
@@ -358,8 +359,8 @@ def load_r_d(path: str, p0: float,
                       else values[i * m:(i + 1) * m]) for i in range(m))
     trace = math.fsum(r_d[i][i].real for i in range(m))
     if not trace_matches(trace, p0):
-        raise ConfigError(f"r_d_path matrix has trace {trace:.6g}, "
-                          f"but p0 is {p0:.6g}")
+        raise ConfigError(f"r_d_path matrix has trace {trace!r}, "
+                          f"but p0 is {p0!r}")
     # Hermitian and PSD to the covariance solve's certificate tolerance;
     # a non-finite entry fails the first test
     tol = _CERTIFY_RTOL * max(1.0, p0)

@@ -15,16 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import _CERTIFY_RTOL, BeampatternSpec, ComplexArray, \
-    trace_matches
+    ConfigError, trace_matches
 
 _FIXED_RTOL = 1e-12    # Pi_K(R_0) = R_0 up to round-off, rel. max(1, power)
 _TIE_RTOL = 1e-6       # eigenvalues of C tied with the largest, rel. ||C||_F
 Eigenpairs = tuple[np.ndarray, ComplexArray]  # lambda >= 0, orthonormal V
-
-
-class InfeasibleSpecError(ValueError):
-    """Desired covariance outside {PSD, tr = power}: its trace disagrees
-    with the budget, or no covariance in its ball passes the certificate."""
 
 
 @dataclass(frozen=True)
@@ -107,12 +102,13 @@ def solve_covariance(c: ComplexArray, power: float,
     3. R(s) on the ball's boundary, searched from s0 upwards.
     In exact arithmetic each commutes with a joint rescaling of (power,
     R_d, gamma_bp), which keeps the SNRs homogeneous of degree 2.  The
-    result is certified feasible before W is formed from its eigenpairs.
+    result is certified feasible before W is formed from its eigenpairs;
+    an R_d off the budget, or a ball with no such result, raises ConfigError.
     """
     trace_rd = float(np.trace(spec.r_d).real)
     if not trace_matches(trace_rd, power):
-        raise InfeasibleSpecError(
-            f"tr(R_d) = {trace_rd:.6g} does not match the budget {power:.6g}")
+        raise ConfigError(
+            f"tr(R_d) = {trace_rd!r} does not match the budget {power!r}")
     c = hermitize(c)
     m = c.shape[0]
     scale = max(1.0, power)
@@ -136,7 +132,7 @@ def solve_covariance(c: ComplexArray, power: float,
         r = _covariance(*eig)
     psd, trace, ball = _feasibility_residuals(r, power, spec)
     if max(psd, trace, ball) > _CERTIFY_RTOL * scale:
-        raise InfeasibleSpecError(
+        raise ConfigError(
             f"no covariance in the ball of R_d passes the certificate "
             f"(residuals: PSD {psd:.3e}, trace {trace:.3e}, ball {ball:.3e})")
     objective = float(np.real(np.trace(r @ c)))

@@ -108,6 +108,20 @@ MUTANTS = [
      "row[i].real - sum(",
      "tests/test_cli.py::TestRDFile::test_psd_decision_matches_eigvalsh"
      "[beam]"),
+    # a trace message prints both numbers in full, or a mismatch below
+    # six digits reads as "trace 1000, but p0 is 1000"
+    ("src/dfrc/config.py", "has trace {trace!r}, \"\n"
+     "                          f\"but p0 is {p0!r}\")",
+     "has trace {trace:.6g}, \"\n"
+     "                          f\"but p0 is {p0:.6g}\")",
+     "tests/test_cli.py::TestParseConfig"
+     "::test_r_d_trace_message_shows_the_mismatch"),
+    # a spec no covariance satisfies is a rejected input, exit 2, not 3
+    ("src/dfrc/precoder.py",
+     "raise ConfigError(\n            f\"no covariance",
+     "raise ValueError(\n            f\"no covariance",
+     "tests/test_cli.py::TestCommands"
+     "::test_unsatisfiable_beampattern_spec_is_config_error[steered-0]"),
     # u formed on the conjugate steering vector misses the pure-LOS optimum
     ("src/dfrc/driver.py", "theta * a_irs", "theta * a_irs.conj()",
      "tests/test_global_optimum.py"

@@ -47,6 +47,15 @@ class TestParseConfig:
                            match=r"^alpha = 1.5: must lie in \[0, 1\]"):
             parse_config("table1", ["alpha=1.5"])
 
+    @pytest.mark.parametrize("item, why", [
+        ("gamma_bp=-1", r"^gamma_bp = -1.0: must be >= 0$"),
+        ("alphas=0.5,1.5",
+         r"^alphas = \(0.5, 1.5\): entries must lie in \[0, 1\]$")],
+        ids=["gamma_bp", "alphas"])
+    def test_ball_radius_and_weights_in_range(self, item, why):
+        with pytest.raises(ConfigError, match=why):
+            parse_config("table1", [item])
+
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text(format_config(parse_config("table1"))
@@ -178,6 +187,18 @@ class TestParseConfig:
         r_d = 125.0 * (1.0 + rel) * np.eye(8)
         assert_r_d_loads(tmp_path, r_d, loads, "has trace")
 
+    def test_r_d_trace_message_shows_the_mismatch(self, tmp_path):
+        # off by 1.6e-6 relative, which six significant digits would print
+        # as "1000" twice
+        path = tmp_path / "r_d.npy"
+        np.save(path, 125.0002 * np.eye(8))
+        with pytest.raises(ConfigError) as err:
+            parse_config("table1", [f"r_d_path={path}"])
+        trace, p0 = re.fullmatch(
+            r"r_d_path matrix has trace (\S+), but p0 is (\S+)",
+            str(err.value)).groups()
+        assert trace != p0 and float(trace) != float(p0)
+
     @pytest.mark.parametrize("rel, loads", [(1e-6, False), (1e-11, True)],
                              ids=["off_1e-6", "off_1e-11"])
     def test_r_d_hermitian_tolerance(self, rel, loads, tmp_path):
@@ -268,6 +289,31 @@ class TestRDFile:
             path.write_bytes(data[:size])
             with pytest.raises(ConfigError, match="^r_d_path = "):
                 parse_config("table1", [f"r_d_path={path}"])
+
+    @pytest.mark.parametrize("header", [
+        "{'descr': '<f8', 'fortran_order': False, 'shape': (8, 8), "
+        "'extra': 1}",
+        "{'descr': '<f8', 'fortran_order': False, 'shape': (8.0, 8.0)}"],
+        ids=["extra_key", "float_shape"])
+    def test_malformed_header_is_config_error(self, header, tmp_path):
+        # a header that parses, but not as np.save writes it; the same
+        # bytes under the header np.save writes load
+        path = tmp_path / "r_d.npy"
+
+        def write(text: str) -> None:
+            raw = text.encode("latin-1")
+            raw += b" " * (-(len(raw) + 11) % 64) + b"\n"
+            path.write_bytes(b"\x93NUMPY\x01\x00"
+                             + len(raw).to_bytes(2, "little") + raw
+                             + (125.0 * np.eye(8)).tobytes())
+
+        write("{'descr': '<f8', 'fortran_order': False, 'shape': (8, 8)}")
+        np.testing.assert_array_equal(np.load(path), 125.0 * np.eye(8))
+        parse_config("table1", [f"r_d_path={path}"])
+        write(header)
+        with pytest.raises(ConfigError, match=r"^r_d_path = .*: malformed "
+                           r"\.npy header \{"):
+            parse_config("table1", [f"r_d_path={path}"])
 
     def test_r_d_cannot_be_written_in_place(self, tmp_path):
         path = tmp_path / "r_d.npy"
@@ -598,6 +644,61 @@ class TestCommands:
                        "--out", str(tmp_path / "sweep")) == 2
         err = capsys.readouterr().err
         assert "r_d_path" in err and "sweep" in err
+
+    @pytest.mark.parametrize("r_d, gamma_bp", [
+        ("steered", "0"), ("indefinite", "0"), ("steered", "1e-4")],
+        ids=["steered-0", "indefinite-0", "steered-1e-4"])
+    def test_unsatisfiable_beampattern_spec_is_config_error(
+            self, r_d, gamma_bp, tmp_path, capsys):
+        # the reader's tolerances (trace to 1e-6 relative, eigenvalues down
+        # to -1e-9 p0) admit these, yet no covariance within gamma_bp of
+        # them passes the solve's 1e-9 p0 certificate: the benchmark's
+        # steered R_d scaled by 1 + 5e-7, and trace 1000 with seven
+        # eigenvalues at -0.9e-6
+        if r_d == "steered":
+            a = np.exp(1j * np.pi * np.arange(8) * np.sin(np.pi / 3))
+            matrix = (1.0 + 5e-7) * 62.5 * (np.eye(8)
+                                            + np.outer(a, a.conj()))
+        else:
+            matrix = np.diag([1000.0 + 6.3e-6] + [-0.9e-6] * 7)
+        path = tmp_path / "r_d.npy"
+        np.save(path, matrix)
+        args = ["--config", "table1", "--set", f"r_d_path={path}"]
+        assert run_cli("print-config", *args) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run_cli("converge", *args, "--set", f"gamma_bp={gamma_bp}",
+                       "--set", "num_realizations=1", "--set", "alphas=0.5",
+                       "--set", "j_max=5", "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: no covariance in the ball of R_d passes the "
+            "certificate (")
+        assert not out.exists()
+
+    def test_unwritable_out_is_runtime_error(self, tmp_path, capsys):
+        # exit 3 is a failure of the program or the machine, not of inputs
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run_cli("converge", "--config", "table1", *FAST,
+                       "--out", str(out)) == 3
+        assert capsys.readouterr().err.startswith(
+            f"runtime error: cannot write results under {out}: ")
+
+    def test_item_without_equals_sign_is_config_error(self, tmp_path,
+                                                      capsys):
+        assert run_cli("print-config", "--config", "table1",
+                       "--set", "p0") == 2
+        assert capsys.readouterr().err == (
+            "config error: override 'p0' is not key=value\n")
+        lines = format_config(parse_config("table1")).splitlines()
+        assert lines[16] == "p0 = 1000.0"
+        lines[16] = "p0  # no value"
+        path = tmp_path / "no_value.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli("print-config", "--config", str(path)) == 2
+        assert capsys.readouterr().err == (
+            "config error: line 17: expected 'key = value', got "
+            "'p0  # no value'\n")
 
 
 class TestStartUp:

@@ -1,14 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 
 from dfrc import precoder
 from dfrc.channel import (composite_comm_channel, synthesize_channels,
                           ula_steering, upa_steering)
-from dfrc.config import parse_config
+from dfrc.config import ConfigError, parse_config
 from dfrc.objective import build_C
-from dfrc.precoder import (BeampatternSpec, InfeasibleSpecError,
-                           _feasibility_residuals, hermitize, matrix_sqrt,
-                           project_feasible, solve_covariance)
+from dfrc.precoder import (BeampatternSpec, _feasibility_residuals,
+                           hermitize, matrix_sqrt, project_feasible,
+                           solve_covariance)
 from instances import sample_feasible
 
 
@@ -304,8 +306,20 @@ class TestSolveCovariance:
 
     def test_infeasible_spec_rejected(self):
         spec = BeampatternSpec(r_d=np.eye(2, dtype=complex), gamma_bp=1.0)
-        with pytest.raises(InfeasibleSpecError):
+        with pytest.raises(ConfigError):
             solve_covariance(np.eye(2, dtype=complex), 5.0, spec)
+
+    def test_trace_mismatch_message_shows_both_numbers(self):
+        # 125.0002 I is off table1's budget by 1.6e-6 relative, which six
+        # significant digits would print as "1000" twice
+        spec = BeampatternSpec(r_d=125.0002 * np.eye(8, dtype=complex),
+                               gamma_bp=10.0)
+        with pytest.raises(ConfigError) as err:
+            solve_covariance(np.eye(8, dtype=complex), 1000.0, spec)
+        trace, budget = re.fullmatch(
+            r"tr\(R_d\) = (\S+) does not match the budget (\S+)",
+            str(err.value)).groups()
+        assert trace != budget and float(trace) != float(budget)
 
     def test_pure_beam_r_d_on_table1(self):
         # a pure beam toward the target, R_d = (P0/M) a a^H, has rank one
